@@ -49,10 +49,10 @@ STANDARD_METADATA_P4 = (
 
 MAX_RECIRCULATIONS = 4
 
-# Execution-engine selection: "compiled" (closure fast path, the
-# default), "interpreter" (the reference tree-walker), or "columnar"
+# Execution-engine selection: "compiled" (generated-code fast path,
+# the default), "interpreter" (the reference tree-walker), or "columnar"
 # (numpy struct-of-arrays batch engine; scalar paths fall back to the
-# compiled closures).  The env var is read only when no constructor
+# compiled kernels).  The env var is read only when no constructor
 # argument is given, so tests can pin a mode per-ASIC while operators
 # flip the whole process.
 EXECUTION_MODE_ENV = "MANTIS_PIPELINE"
@@ -362,7 +362,7 @@ class SwitchAsic:
         Semantically identical to calling :meth:`process` per packet --
         same results, counters, timestamps, and port statistics -- but
         with the per-packet binding work hoisted out of the loop: the
-        control closures, port list, and timestamp are resolved once
+        control kernels, port list, and timestamp are resolved once
         per batch, and the common single-pass forward path runs fused.
         Drops stay inline; recirculation falls back to the generic
         pass-by-pass loop per packet.
@@ -393,7 +393,6 @@ class SwitchAsic:
         if get_columnar is not None:
             sweeps = get_columnar("ingress")
             if sweeps is not None:
-                executor.begin_batch()
                 batch = ColumnarBatch.from_packets(
                     packets if isinstance(packets, list) else list(packets)
                 )
@@ -407,22 +406,19 @@ class SwitchAsic:
         if get_major is not None:
             major_ops = get_major("ingress")
             if major_ops is not None:
-                executor.begin_batch()
                 return self._batch_major(
                     packets, times, sink, major_ops, get_plan("egress") or ()
                 )
         ingress_ops = get_plan("ingress")
         egress_ops = get_plan("egress")
         if ingress_ops is None:
-            # Profiling: no fused plan; route each packet through the
-            # counting control closures instead.
+            # Profiling: no batch plan; route each packet through the
+            # counting control wrappers instead.
             bind = executor.bound_control
             control = bind("ingress")
             ingress_ops = (control,) if control is not None else ()
             control = bind("egress")
             egress_ops = (control,) if control is not None else ()
-        else:
-            executor.begin_batch()
         ports = self.ports
         num_ports = self.num_ports
         queue_model = self.queue_model
@@ -689,7 +685,6 @@ class SwitchAsic:
                 "process_batch_columnar requires execution_mode='columnar' "
                 "with an op-major-admissible program (and profiling off)"
             )
-        executor.begin_batch()
         return self._batch_columnar(batch, times, None, sweeps, False)
 
     def _batch_columnar(

@@ -1521,12 +1521,8 @@ class ColumnarPipeline(CompiledPipeline):
     def _build_columnar(self, decl) -> Optional[List[object]]:
         # Columnar execution is op-major execution: straight-line
         # bodies admit exactly what the op-major analysis proved safe.
-        if self._batch_major_plans.get("ingress") is not None:
-            body = decl.body if decl is not None else []
-            return [
-                _TableSweep(self, self.asic.tables[stmt.table])
-                for stmt in body
-            ]
+        if self._major_tables is not None:
+            return [_TableSweep(self, runtime) for runtime in self._major_tables]
         return self._build_columnar_conditional(decl)
 
     def _build_columnar_conditional(self, decl) -> Optional[List[object]]:

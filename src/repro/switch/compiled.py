@@ -1,27 +1,36 @@
-"""Compile-to-closure fast path for the packet pipeline.
+"""Compile-to-code fast path for the packet pipeline.
 
 :class:`CompiledPipeline` lowers a loaded program once, at
-construction time, into nests of closed-over Python closures:
+construction time:
 
 - every ``"instance.field"`` key string is built exactly once and
-  interned into the closure that reads or writes it (the interpreter
+  interned into the code that reads or writes it (the interpreter
   re-builds these with an f-string on every access);
 - every field-width mask is resolved from ``asic.field_masks`` at
   compile time, so per-packet writes are a dict store plus at most one
   ``&``;
 - primitive dispatch (the interpreter's string-comparison ladder) is
-  resolved once per action body; executing an action is a loop over
-  pre-specialized step closures;
+  resolved once per action body into pre-specialized step closures,
+  and a resolved (action, args) pair is further fused into one
+  straight-line function with its arguments folded in as constants;
 - expression trees in ``if`` conditions are folded into flat lambdas,
   with constant subtrees evaluated at compile time;
-- table applies bind the :class:`~repro.switch.tables.TableRuntime`
-  and a precompiled key-extraction closure directly, so lookups skip
-  the per-packet ``reads`` walk.
+- each control block becomes one generated function (its *kernel*):
+  per table a drop check, the lookup key built inline, a probe of the
+  table's :class:`ResolutionCache`, the hit/miss bump, and a call to
+  the fused runner (or the step loop when the action is not fusable).
+  Non-exact tables and ``if`` conditions are called from the kernel as
+  closures.  Generated sources are compiled once per process, so a
+  fleet of switches running one program shares the code objects.
 
-What is *not* baked in: table entries, default actions, and register
-contents.  Those stay live behind the closures, so the Mantis agent's
-shadow-flip writes (add/modify/delete/set_default) take effect on the
-very next lookup with no recompilation or invalidation protocol.
+Table entries, default actions, and register contents are not baked
+into any code.  Each exact-only table's :class:`ResolutionCache`
+remembers what a key resolved to for one
+:attr:`~repro.switch.tables.TableRuntime.generation` of the table;
+every add/modify/delete/set_default bumps that counter, and every
+probe compares it first, so the Mantis agent's shadow-flip writes take
+effect on the very next lookup -- including one made mid-packet from
+:meth:`CompiledPipeline.iter_control`.
 
 The tree-walking :class:`~repro.switch.pipeline.PipelineExecutor`
 remains the reference semantics; :func:`run_differential` replays one
@@ -38,6 +47,7 @@ with numpy struct-of-arrays sweeps.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -193,6 +203,93 @@ def _raising_step(message: str) -> StepFn:
     return step
 
 
+@functools.lru_cache(maxsize=1024)
+def _code_for(source: str, filename: str):
+    """One code object per generated source text.  Every switch of a
+    fleet loads the same program, so their kernels and fused runners
+    differ only in the objects bound into them, not in their source."""
+    return compile(source, filename, "exec")
+
+
+def _define(source: str, filename: str, namespace: Dict[str, object]):
+    """Run generated ``source`` (one ``def``) against ``namespace`` and
+    return the function it defines."""
+    namespace["__builtins__"] = {}
+    local: Dict[str, object] = {}
+    exec(  # noqa: S102 - source assembled from parsed P4 only
+        _code_for(source, filename), namespace, local
+    )
+    (fn,) = local.values()
+    return fn
+
+
+# A resolved table lookup: (matched, steps, args, fused, action).
+# ``steps``/``args`` run the action through its step closures; ``fused``
+# is the straight-line runner for the same (action, args), or ``None``
+# when the body is not fusable.  ``action`` is ``None`` for a miss with
+# no default action (nothing runs).
+_NO_ACTION = (False, (), (), None, None)
+
+
+class ResolutionCache:
+    """What each lookup key of one exact-only table resolves to.
+
+    ``hits`` maps the key of each installed entry that a packet has
+    probed to its resolution; every miss shares the single ``default``
+    resolution.  The cache therefore holds at most ``entry_count + 1``
+    resolutions whatever keys the traffic carries.  Both are dropped
+    as soon as :attr:`TableRuntime.generation` moves, and every add,
+    modify, delete and ``set_default`` moves it, so probes never see a
+    stale entry.
+
+    Single-field tables key ``hits`` by the bare field value; the
+    others by the lookup-key tuple the table's index uses."""
+
+    __slots__ = ("runtime", "index", "hits", "default", "generation",
+                 "_resolve")
+
+    def __init__(self, runtime, resolve: Callable[[tuple], tuple]):
+        self.runtime = runtime
+        self.index = runtime._exact_index
+        # Cleared in place, never rebound: generated code binds it.
+        self.hits: Dict[object, tuple] = {}
+        self.default: Optional[tuple] = None
+        self.generation = runtime.generation
+        self._resolve = resolve
+
+    def sync(self) -> None:
+        """Drop every resolution if the table changed since they were
+        made."""
+        generation = self.runtime.generation
+        if generation != self.generation:
+            self.hits.clear()
+            self.default = None
+            self.generation = generation
+
+    def miss(self, key, key_tuple: tuple) -> tuple:
+        """Resolve a key absent from ``hits`` (call after :meth:`sync`).
+
+        A resolution error (unknown action, wrong arity) still counts
+        the lookup, as the interpreter counts it before running the
+        action."""
+        matched = key_tuple in self.index
+        result = None if matched else self.default
+        if result is None:
+            try:
+                result = self._resolve(key_tuple)
+            except SwitchError:
+                if matched:
+                    self.runtime.hits += 1
+                else:
+                    self.runtime.misses += 1
+                raise
+            if matched:
+                self.hits[key] = result
+            else:
+                self.default = result
+        return result
+
+
 class CompiledPipeline:
     """The compiled execution engine for one ASIC's program.
 
@@ -213,63 +310,62 @@ class CompiledPipeline:
         self.profile = profile
         program = asic.program
         # Raw (steps, n_params) per action, recorded by _compile_action:
-        # the batch applies execute resolved step tuples directly,
-        # skipping the per-call action frame.
+        # resolved lookups execute step tuples directly, skipping the
+        # per-call action frame.
         self._action_steps: Dict[str, Tuple[Tuple[StepFn, ...], int]] = {}
         self._actions: Dict[str, StepFn] = {
             name: self._compile_action(decl)
             for name, decl in program.actions.items()
         }
         if profile is not None:
-            # Wrap actions before applies compile (applies capture the
-            # actions dict) and applies before controls compile
-            # (controls capture apply closures), so every execution
-            # path routes through the counters.
+            # Under profiling every resolved action runs through its
+            # counting closure (see _make_resolver), every kernel calls
+            # the counting apply closures, and every control is wrapped:
+            # one code generator, with all execution paths counted.
             self._actions = {
                 name: _counting_step(fn, profile.action_runs, name)
                 for name, fn in self._actions.items()
             }
-        self._applies: Dict[str, OpFn] = {
-            name: self._compile_apply(runtime)
+        # Fused (action, args) specializations.  Keyed by resolved
+        # action name + concrete argument tuple; safe to keep for the
+        # pipeline's lifetime because the generated code depends only
+        # on the action declaration and stable asic containers
+        # (register/counter value lists), never on table entries.
+        self._fused_runners: Dict[Tuple[Optional[str], tuple], object] = {}
+        self._fused_sweeps: Dict[Tuple[Optional[str], tuple], object] = {}
+        self._caches: Dict[str, ResolutionCache] = {
+            name: ResolutionCache(runtime, self._make_resolver(runtime))
             for name, runtime in asic.tables.items()
+            if runtime._exact_only
         }
+        # Standalone applies serve iter_control, apply_table and the
+        # profiled kernels; unprofiled kernels inline their tables, so
+        # the applies are built on first use (see _apply_fn).
+        self._applies: Dict[str, OpFn] = {}
         if profile is not None:
-            self._applies = {
-                name: _counting_op(fn, profile.table_applies, name)
-                for name, fn in self._applies.items()
-            }
+            for name, runtime in asic.tables.items():
+                self._applies[name] = _counting_op(
+                    self._compile_apply(runtime), profile.table_applies, name
+                )
         self._controls: Dict[str, OpFn] = {}
         self._stepped: Dict[str, List] = {}
         for name, decl in program.controls.items():
-            compiled = self._compile_block(decl.body)
+            compiled = self._compile_control(decl.body)
             if profile is not None:
                 compiled = _counting_op(compiled, profile.control_runs, name)
             self._controls[name] = compiled
             self._stepped[name] = self._compile_stepped(decl.body)
-        # Batch execution plans: one op tuple per control, with fused
-        # memoizing applies for exact-match tables.  Not built under
-        # profiling -- the profiled run must route every packet through
-        # the counting closures, so batch_ops() reports no plan and the
-        # batch driver falls back to the instrumented scalar path.
-        self._batch_memos: List[Dict[object, tuple]] = []
-        self._batch_plans: Dict[str, Tuple[OpFn, ...]] = {}
-        self._batch_major_plans: Dict[str, Optional[Tuple[BatchOpFn, ...]]] = {}
-        # Fused (action, args) specializations.  Keyed by resolved
-        # action name + concrete argument tuple; safe to keep across
-        # batches because the generated code depends only on the action
-        # declaration and stable asic containers (register/counter
-        # value lists), never on table entries.
-        self._fused_runners: Dict[Tuple[Optional[str], tuple], object] = {}
-        self._fused_sweeps: Dict[Tuple[Optional[str], tuple], object] = {}
+        # Ingress tables admitted to op-major execution, or ``None``.
+        # Never admitted under profiling: the profiled run must route
+        # every packet through the counting closures.  The sweeps are
+        # generated on first use, since per-packet fleets never burst.
+        self._major_tables: Optional[Tuple[object, ...]] = None
         if profile is None:
-            for name, decl in program.controls.items():
-                self._batch_plans[name] = tuple(
-                    self._compile_batch_ops(decl.body)
-                )
-            self._batch_major_plans["ingress"] = self._compile_batch_major(
+            self._major_tables = self._admit_batch_major(
                 program.controls.get("ingress"),
                 program.controls.get("egress"),
             )
+        self._major_plan: Optional[Tuple[BatchOpFn, ...]] = None
 
     # ---- control blocks ---------------------------------------------------
 
@@ -280,7 +376,7 @@ class CompiledPipeline:
             run(packet)
 
     def bound_control(self, control_name: str) -> Optional[OpFn]:
-        """The compiled closure for one control block, or ``None`` if
+        """The compiled kernel for one control block, or ``None`` if
         the program does not define it.
 
         The batch path hoists this lookup out of its packet loop: one
@@ -298,139 +394,60 @@ class CompiledPipeline:
         if steps is not None:
             yield from _run_stepped(steps, packet)
 
-    def _compile_block(self, statements: List[ast.Statement]) -> OpFn:
-        ops = self._compile_ops(statements)
-        if not ops:
-            return _noop
-        if len(ops) == 1:
-            only = ops[0]
-
-            def run_one(packet: Packet, _op: OpFn = only) -> None:
-                if not packet.fields[_DROP]:
-                    _op(packet)
-
-            return run_one
-
-        def run(packet: Packet, _ops: Tuple[OpFn, ...] = tuple(ops)) -> None:
-            fields = packet.fields
-            for op in _ops:
-                if fields[_DROP]:
-                    return
-                op(packet)
-
-        return run
-
-    def _compile_ops(self, statements: List[ast.Statement]) -> List[OpFn]:
-        ops: List[OpFn] = []
-        for stmt in statements:
-            if isinstance(stmt, ast.ApplyCall):
-                ops.append(self._apply_fn(stmt.table))
-            elif isinstance(stmt, ast.IfBlock):
-                cond = self._compile_expr(stmt.cond)
-                then_fn = self._compile_block(stmt.then_body)
-                else_fn = self._compile_block(stmt.else_body)
-                if isinstance(cond, int):  # constant condition: fold
-                    ops.append(then_fn if cond else else_fn)
-                else:
-
-                    def branch(
-                        packet: Packet,
-                        _c=cond,
-                        _t: OpFn = then_fn,
-                        _e: OpFn = else_fn,
-                    ) -> None:
-                        if _c(packet):
-                            _t(packet)
-                        else:
-                            _e(packet)
-
-                    ops.append(branch)
-            else:  # pragma: no cover - parser emits only the kinds above
-                raise SwitchError(f"unknown statement {stmt!r}")
-        return ops
-
     # ---- batch execution --------------------------------------------------
 
-    def begin_batch(self) -> None:
-        """Reset the per-batch table-resolution memos.
-
-        Table entries and default actions are control-plane state, and
-        the control plane cannot run inside a batch, so for the life of
-        one batch each key resolves to a fixed (action steps, args)
-        pair.  The memos must not outlive the batch -- the agent may
-        rewrite entries between bursts."""
-        for memo in self._batch_memos:
-            memo.clear()
-
     def batch_ops(self, control_name: str) -> Optional[Tuple[OpFn, ...]]:
-        """The batch execution plan for one control block: one op per
-        statement, with exact-match applies replaced by fused,
-        batch-memoized versions.  Returns ``None`` when no plan exists
-        (profiling enabled); an undefined control is an empty plan."""
+        """The batch execution plan for one control block: its kernel
+        (an undefined control is an empty plan).  Returns ``None`` under
+        profiling, where the batch driver binds the counting controls
+        itself."""
         if self.profile is not None:
             return None
-        return self._batch_plans.get(control_name, ())
+        control = self._controls.get(control_name)
+        return (control,) if control is not None else ()
 
-    def _compile_batch_ops(
-        self, statements: List[ast.Statement]
-    ) -> List[OpFn]:
-        ops: List[OpFn] = []
-        for stmt in statements:
-            if isinstance(stmt, ast.ApplyCall):
-                runtime = self.asic.tables.get(stmt.table)
-                if runtime is None:
-                    raise SwitchError(f"unknown table {stmt.table!r}")
-                ops.append(self._compile_batch_apply(runtime))
-            elif isinstance(stmt, ast.IfBlock):
-                # Branches are off the common forward path: reuse the
-                # scalar op (its sub-blocks go through scalar applies).
-                ops.extend(self._compile_ops([stmt]))
-            else:  # pragma: no cover - parser emits only the kinds above
-                raise SwitchError(f"unknown statement {stmt!r}")
-        return ops
-
-    def _make_resolver(self, runtime):
-        """A ``key_tuple -> (matched, steps, args, fused)`` resolver
-        for one exact-only table; memoized per batch by the callers.
+    def _make_resolver(self, runtime) -> Callable[[tuple], tuple]:
+        """A ``key_tuple -> (matched, steps, args, fused, action)``
+        resolver for one exact-only table; its :class:`ResolutionCache`
+        calls it once per key per table generation.
 
         ``fused`` is the flat specialized runner for the resolved
         (action, args) pair -- see :meth:`_fuse_runner` -- or ``None``
         when the action body has a shape the fuser does not cover, in
-        which case callers fall back to the generic step loop."""
+        which case callers fall back to the generic step loop.  Under
+        profiling the only step is the counting action closure and
+        nothing is fused, so every run is counted."""
         resolve_steps = self._resolve_steps
         fuse = self._fuse_runner
+        counted = self._actions if self.profile is not None else None
         index = runtime._exact_index
 
-        def resolve(key_tuple, _runtime=runtime, _index=index):
-            entry = _index.get(key_tuple)
+        def resolve(key_tuple: tuple) -> tuple:
+            entry = index.get(key_tuple)
             if entry is None:
-                result = _runtime.default_action
-                if result is None:
-                    return (False, (), (), None)
-                name, args = result
-                return (
-                    False,
-                    resolve_steps(name, args),
-                    args,
-                    fuse(name, tuple(args)),
-                )
-            name = entry.action_name
-            args = entry.action_args
-            return (
-                True,
-                resolve_steps(name, args),
-                args,
-                fuse(name, tuple(args)),
-            )
+                default = runtime.default_action
+                if default is None:
+                    return _NO_ACTION
+                name, args = default
+                matched = False
+            else:
+                name = entry.action_name
+                args = entry.action_args
+                matched = True
+            steps = resolve_steps(name, args)
+            args = tuple(args)
+            if counted is not None:
+                return (matched, (counted[name],), args, None, name)
+            return (matched, steps, args, fuse(name, args), name)
 
         return resolve
 
     def _resolve_steps(
         self, action_name: str, action_args: List[int]
     ) -> Tuple[StepFn, ...]:
-        """Pre-flight an action for memoized execution: same unknown-
+        """Pre-flight an action for resolved execution: same unknown-
         action and arity errors as the compiled run fns, paid once per
-        (table, key) per batch instead of once per packet."""
+        (table, key) per table generation instead of once per packet."""
         entry = self._action_steps.get(action_name)
         if entry is None:
             raise SwitchError(f"unknown action {action_name!r}")
@@ -442,9 +459,114 @@ class CompiledPipeline:
             )
         return steps
 
+    # ---- generated kernels ------------------------------------------------
+    #
+    # Control blocks, exact-table applies and op-major sweeps are emitted
+    # as Python source and compiled once per source text (_code_for).
+    # Every object the code touches is bound as a default argument under
+    # a positional name (_t0, _c1, ...), so two switches loading the same
+    # program generate byte-identical source.
+
+    def _compile_control(self, statements: List[ast.Statement]) -> OpFn:
+        """One generated function running a control block on a packet."""
+        env: Dict[str, object] = {}
+        lines: List[str] = []
+        self._emit_block(statements, env, lines, "    ")
+        return _define(
+            _function_source("_control", "p", env,
+                             ["    f = p.fields"] + lines),
+            "<control kernel>",
+            env,
+        )
+
+    def _emit_block(
+        self,
+        statements: List[ast.Statement],
+        env: Dict[str, object],
+        lines: List[str],
+        pad: str,
+    ) -> None:
+        for stmt in statements:
+            # A dropped packet runs nothing more in this control.
+            lines.append(f"{pad}if f[{_DROP!r}]:")
+            lines.append(f"{pad}    return")
+            if isinstance(stmt, ast.ApplyCall):
+                runtime = self.asic.tables.get(stmt.table)
+                if runtime is None:
+                    raise SwitchError(f"unknown table {stmt.table!r}")
+                if runtime._exact_only and self.profile is None:
+                    self._emit_exact(runtime, env, lines, pad, sweep=False)
+                else:
+                    apply = _bind(env, "_a", self._apply_fn(stmt.table))
+                    lines.append(f"{pad}{apply}(p)")
+            elif isinstance(stmt, ast.IfBlock):
+                cond = self._compile_expr(stmt.cond)
+                if isinstance(cond, int):  # constant condition: fold
+                    taken = stmt.then_body if cond else stmt.else_body
+                    self._emit_block(taken, env, lines, pad)
+                    continue
+                lines.append(f"{pad}if {_bind(env, '_k', cond)}(p):")
+                branch: List[str] = []
+                self._emit_block(stmt.then_body, env, branch, pad + "    ")
+                lines.extend(branch or [f"{pad}    pass"])
+                if stmt.else_body:
+                    lines.append(f"{pad}else:")
+                    self._emit_block(stmt.else_body, env, lines, pad + "    ")
+            else:  # pragma: no cover - parser emits only the kinds above
+                raise SwitchError(f"unknown statement {stmt!r}")
+
+    def _emit_exact(
+        self,
+        runtime,
+        env: Dict[str, object],
+        lines: List[str],
+        pad: str,
+        sweep: bool,
+    ) -> Tuple[str, str]:
+        """Emit one exact-only table apply on packet ``p`` (fields
+        ``f``): the inline key, the cache probe, the hit/miss bump, and
+        the action run.  Per-packet code checks the table generation
+        first; a ``sweep`` checks it once per batch (the control plane
+        cannot run inside one) and counts into locals ``hits``/``misses``.
+        Returns the names bound to the runtime and its cache."""
+        cache = self._caches[runtime.decl.name]
+        table = _bind(env, "_t", runtime)
+        memo = _bind(env, "_c", cache)
+        hits = _bind(env, "_h", cache.hits)
+        index = _bind(env, "_x", cache.index)
+        key, key_tuple = _key_source(runtime.decl.reads)
+        if not sweep:
+            lines.extend(_sync_source(table, memo, pad))
+        bump_hit, bump_miss = (
+            ("hits += 1", "misses += 1") if sweep
+            else (f"{table}.hits += 1", f"{table}.misses += 1")
+        )
+        lines.extend(
+            pad + line
+            for line in (
+                f"k = {key}",
+                f"r = {hits}.get(k)",
+                "if r is None:",
+                f"    r = {memo}.default",
+                f"    if r is None or {key_tuple} in {index}:",
+                f"        r = {memo}.miss(k, {key_tuple})",
+                "m, s, a, fn, _n = r",
+                "if m:",
+                f"    {bump_hit}",
+                "else:",
+                f"    {bump_miss}",
+                "if fn is not None:",
+                "    fn(p, f)",
+                "else:",
+                "    for st in s:",
+                "        st(a, p)",
+            )
+        )
+        return table, memo
+
     # ---- action fusion ----------------------------------------------------
     #
-    # Once a batch resolver has pinned a (action, args) pair, every
+    # Once a lookup has resolved to an (action, args) pair, every
     # action parameter is a known integer, so the whole primitive
     # sequence can be emitted as one flat Python function -- no step
     # dispatch, no argument closures, constants folded in the source.
@@ -473,15 +595,14 @@ class CompiledPipeline:
         return fn
 
     def _build_fused(self, action_name, args: tuple, sweep: bool):
-        if action_name is None:
-            body: List[str] = []
-        else:
+        env: Dict[str, object] = {}
+        body: List[str] = []
+        if action_name is not None:
             decl = self.asic.program.actions.get(action_name)
             if decl is None or len(decl.params) != len(args):
                 return None
             params = dict(zip(decl.params, args))
-            env: Dict[str, object] = {"min": min, "max": max}
-            body = []
+            env.update(min=min, max=max)
             for call in decl.body:
                 if not self._fuse_call(call, params, env, body):
                     return None
@@ -501,13 +622,7 @@ class CompiledPipeline:
         else:
             inner = "".join(f"    {line}\n" for line in body) or "    pass\n"
             src = f"def _fused(p, f):\n{inner}"
-        namespace: Dict[str, object] = {"__builtins__": {}}
-        if action_name is not None:
-            namespace.update(env)
-        exec(  # noqa: S102 - source assembled from parsed P4 only
-            compile(src, f"<fused {action_name}>", "exec"), namespace
-        )
-        return namespace["_fused"]
+        return _define(src, f"<fused {action_name}>", env)
 
     def _fuse_value(self, arg, params: Dict[str, int]) -> Optional[str]:
         """Render a primitive argument as a source expression over the
@@ -696,80 +811,6 @@ class CompiledPipeline:
         # step closures.
         return False
 
-    def _compile_batch_apply(self, runtime) -> OpFn:
-        """A batch-specialized table apply.
-
-        Exact-only tables get (key -> resolved action) memoization for
-        the life of one batch, and the dominant single-unmasked-field
-        shape additionally gets its key extraction inlined (no
-        extractor frames).  Other match kinds fall back to the scalar
-        apply -- ``lookup_key`` owns their matching semantics."""
-        if not runtime._exact_only:
-            return self._apply_fn(runtime.decl.name)
-        reads = runtime.decl.reads
-        memo: Dict[object, tuple] = {}
-        self._batch_memos.append(memo)
-        resolve = self._make_resolver(runtime)
-
-        if (
-            len(reads) == 1
-            and reads[0].match_type is not ast.MatchType.VALID
-            and reads[0].mask is None
-        ):
-            ref = reads[0].ref
-            field_key = f"{ref.header}.{ref.field}"
-
-            def apply_fused(
-                packet: Packet,
-                _fk=field_key,
-                _memo=memo,
-                _resolve=resolve,
-                _runtime=runtime,
-            ) -> None:
-                fields = packet.fields
-                key = fields.get(_fk, 0)
-                hit = _memo.get(key)
-                if hit is None:
-                    hit = _memo[key] = _resolve((key,))
-                matched, steps, args, fused = hit
-                if matched:
-                    _runtime.hits += 1
-                else:
-                    _runtime.misses += 1
-                if fused is not None:
-                    fused(packet, fields)
-                else:
-                    for step in steps:
-                        step(args, packet)
-
-            return apply_fused
-
-        build_key = self._compile_key(reads)
-
-        def apply_memoized(
-            packet: Packet,
-            _key=build_key,
-            _memo=memo,
-            _resolve=resolve,
-            _runtime=runtime,
-        ) -> None:
-            key = _key(packet)
-            hit = _memo.get(key)
-            if hit is None:
-                hit = _memo[key] = _resolve(key)
-            matched, steps, args, fused = hit
-            if matched:
-                _runtime.hits += 1
-            else:
-                _runtime.misses += 1
-            if fused is not None:
-                fused(packet, packet.fields)
-            else:
-                for step in steps:
-                    step(args, packet)
-
-        return apply_memoized
-
     # ---- op-major batch execution -----------------------------------------
 
     def batch_major_ops(
@@ -781,9 +822,14 @@ class CompiledPipeline:
         non-straight-line control, non-exact tables, or tables whose
         cross-packet state (registers, counters, the RNG) overlaps, in
         which case op-major would reorder observable effects."""
-        if self.profile is not None:
+        if control_name != "ingress" or self._major_tables is None:
             return None
-        return self._batch_major_plans.get(control_name)
+        if self._major_plan is None:
+            self._major_plan = tuple(
+                self._compile_major_apply(runtime)
+                for runtime in self._major_tables
+            )
+        return self._major_plan
 
     def _action_resources(self, action_name: str) -> Optional[set]:
         """Cross-packet state an action touches.  ``None`` for unknown
@@ -822,11 +868,11 @@ class CompiledPipeline:
             resources |= action_resources
         return resources
 
-    def _compile_batch_major(
+    def _admit_batch_major(
         self, ingress_decl, egress_decl
-    ) -> Optional[Tuple[BatchOpFn, ...]]:
-        """Build the op-major ingress plan, or ``None`` if per-packet
-        order must be preserved.
+    ) -> Optional[Tuple[object, ...]]:
+        """The ingress tables, in order, if op-major execution is
+        sound, or ``None`` if per-packet order must be preserved.
 
         Op-major execution runs table k over every packet before table
         k+1 sees any.  That is observably identical to packet-major
@@ -869,49 +915,27 @@ class CompiledPipeline:
             shared |= resources
         if "recirc" in shared and shared != {"recirc"}:
             return None
-        return tuple(self._compile_major_apply(rt) for rt in runtimes)
+        return tuple(runtimes)
 
     def _compile_major_apply(self, runtime) -> BatchOpFn:
         """One table's op-major sweep: apply it to every live packet in
-        the batch, with hit/miss accounting accumulated locally and
-        flushed once."""
-        reads = runtime.decl.reads
-        resolve = self._make_resolver(runtime)
+        the batch through the table's resolution cache, with hit/miss
+        accounting accumulated locally and flushed once."""
+        cache = self._caches[runtime.decl.name]
 
-        if not reads:
+        if not runtime.decl.reads:
             # Keyless (Mantis init/collect tables, RMW accounting): one
             # resolution covers the whole sweep, and the fused variant
             # runs the entire action body inline inside one batch loop.
-            resolve_steps = self._resolve_steps
             fuse_sweep = self._fuse_sweep
-            memo: Dict[object, tuple] = {}
-            self._batch_memos.append(memo)
-            index = runtime._exact_index
 
             def major_keyless(
-                packets: List[Packet],
-                _memo=memo,
-                _index=index,
-                _runtime=runtime,
+                packets: List[Packet], _cache=cache, _runtime=runtime
             ) -> None:
-                hit = _memo.get(())
-                if hit is None:
-                    entry = _index.get(())
-                    if entry is not None:
-                        matched = True
-                        name = entry.action_name
-                        args = entry.action_args
-                    else:
-                        matched = False
-                        default = _runtime.default_action
-                        name, args = default if default else (None, ())
-                    if name is None:
-                        steps: tuple = ()
-                    else:
-                        steps = resolve_steps(name, args)
-                    sweep = fuse_sweep(name, tuple(args))
-                    hit = _memo[()] = (matched, steps, tuple(args), sweep)
-                matched, steps, args, sweep = hit
+                _cache.sync()
+                hit = _cache.hits.get(()) or _cache.miss((), ())
+                matched, steps, args, _fused, name = hit
+                sweep = fuse_sweep(name, args)
                 if sweep is not None:
                     live = sweep(packets)
                 else:
@@ -929,132 +953,41 @@ class CompiledPipeline:
 
             return major_keyless
 
-        memo: Dict[object, tuple] = {}
-        self._batch_memos.append(memo)
-        simple = all(
-            read.match_type is not ast.MatchType.VALID and read.mask is None
-            for read in reads
+        env: Dict[str, object] = {}
+        body: List[str] = []
+        table, memo = self._emit_exact(
+            runtime, env, body, " " * 12, sweep=True
         )
-
-        if simple and len(reads) == 1:
-            ref = reads[0].ref
-            field_key = f"{ref.header}.{ref.field}"
-
-            def major_single(
-                packets: List[Packet],
-                _fk=field_key,
-                _memo=memo,
-                _resolve=resolve,
-                _runtime=runtime,
-            ) -> None:
-                hits = 0
-                misses = 0
-                get = _memo.get
-                for packet in packets:
-                    fields = packet.fields
-                    if fields[_DROP]:
-                        continue
-                    key = fields.get(_fk, 0)
-                    hit = get(key)
-                    if hit is None:
-                        hit = _memo[key] = _resolve((key,))
-                    matched, steps, args, fused = hit
-                    if matched:
-                        hits += 1
-                    else:
-                        misses += 1
-                    if fused is not None:
-                        fused(packet, fields)
-                    else:
-                        for step in steps:
-                            step(args, packet)
-                _runtime.hits += hits
-                _runtime.misses += misses
-
-            return major_single
-
-        if simple and len(reads) == 2:
-            first = reads[0].ref
-            second = reads[1].ref
-
-            def major_pair(
-                packets: List[Packet],
-                _fa=f"{first.header}.{first.field}",
-                _fb=f"{second.header}.{second.field}",
-                _memo=memo,
-                _resolve=resolve,
-                _runtime=runtime,
-            ) -> None:
-                hits = 0
-                misses = 0
-                get = _memo.get
-                for packet in packets:
-                    fields = packet.fields
-                    if fields[_DROP]:
-                        continue
-                    key = (fields.get(_fa, 0), fields.get(_fb, 0))
-                    hit = get(key)
-                    if hit is None:
-                        hit = _memo[key] = _resolve(key)
-                    matched, steps, args, fused = hit
-                    if matched:
-                        hits += 1
-                    else:
-                        misses += 1
-                    if fused is not None:
-                        fused(packet, fields)
-                    else:
-                        for step in steps:
-                            step(args, packet)
-                _runtime.hits += hits
-                _runtime.misses += misses
-
-            return major_pair
-
-        build_key = self._compile_key(reads)
-
-        def major_generic(
-            packets: List[Packet],
-            _key=build_key,
-            _memo=memo,
-            _resolve=resolve,
-            _runtime=runtime,
-        ) -> None:
-            hits = 0
-            misses = 0
-            get = _memo.get
-            for packet in packets:
-                if packet.fields[_DROP]:
-                    continue
-                key = _key(packet)
-                hit = get(key)
-                if hit is None:
-                    hit = _memo[key] = _resolve(key)
-                matched, steps, args, fused = hit
-                if matched:
-                    hits += 1
-                else:
-                    misses += 1
-                if fused is not None:
-                    fused(packet, packet.fields)
-                else:
-                    for step in steps:
-                        step(args, packet)
-            _runtime.hits += hits
-            _runtime.misses += misses
-
-        return major_generic
+        lines = _sync_source(table, memo, "    ") + [
+            "    hits = 0",
+            "    misses = 0",
+            "    try:",
+            "        for p in packets:",
+            "            f = p.fields",
+            f"            if f[{_DROP!r}]:",
+            "                continue",
+            *body,
+            "    finally:",
+            f"        {table}.hits += hits",
+            f"        {table}.misses += misses",
+        ]
+        return _define(
+            _function_source("_sweep", "packets", env, lines),
+            "<op-major sweep>",
+            env,
+        )
 
     def _compile_stepped(self, statements: List[ast.Statement]) -> List:
         """Compile to generator-producing steps for ``iter_control``."""
         steps = []
         for stmt in statements:
             if isinstance(stmt, ast.ApplyCall):
-                apply_fn = self._apply_fn(stmt.table)
 
-                def step(packet: Packet, _name=stmt.table, _apply=apply_fn):
+                def step(
+                    packet: Packet, _name=stmt.table, _apply=self._apply_fn
+                ):
                     yield ("apply", _name)
-                    _apply(packet)
+                    _apply(_name)(packet)
 
                 steps.append(step)
             elif isinstance(stmt, ast.IfBlock):
@@ -1079,49 +1012,33 @@ class CompiledPipeline:
     # ---- tables -----------------------------------------------------------
 
     def _apply_fn(self, table_name: str) -> OpFn:
-        if table_name not in self._applies:
-            raise SwitchError(f"unknown table {table_name!r}")
-        return self._applies[table_name]
+        apply = self._applies.get(table_name)
+        if apply is None:
+            runtime = self.asic.tables.get(table_name)
+            if runtime is None:
+                raise SwitchError(f"unknown table {table_name!r}")
+            apply = self._applies[table_name] = self._compile_apply(runtime)
+        return apply
 
     def apply_table(self, table_name: str, packet: Packet) -> None:
         self._apply_fn(table_name)(packet)
 
     def _compile_apply(self, runtime) -> OpFn:
+        if runtime._exact_only:
+            # Exact-only tables: the same generated probe the control
+            # kernels inline, as a standalone function (iter_control,
+            # apply_table, and every apply under profiling).
+            env: Dict[str, object] = {}
+            lines = ["    f = p.fields"]
+            self._emit_exact(runtime, env, lines, "    ", sweep=False)
+            return _define(
+                _function_source("_apply", "p", env, lines),
+                "<table apply>",
+                env,
+            )
+
         build_key = self._compile_key(runtime.decl.reads)
         actions = self._actions
-
-        if runtime._exact_only:
-            # Exact-only tables: probe the hash index directly.  The
-            # dict object itself is stable (TableRuntime mutates it in
-            # place, never rebinds it), so closing over it keeps entry
-            # adds/deletes live; hit/miss accounting and the
-            # (rebindable) default action go through the runtime.
-            index = runtime._exact_index
-
-            def apply_exact(
-                packet: Packet,
-                _runtime=runtime,
-                _key=build_key,
-                _index=index,
-                _actions=actions,
-            ) -> None:
-                entry = _index.get(_key(packet))
-                if entry is None:
-                    _runtime.misses += 1
-                    result = _runtime.default_action
-                    if result is None:
-                        return
-                    action_name, action_args = result
-                else:
-                    _runtime.hits += 1
-                    action_name = entry.action_name
-                    action_args = entry.action_args
-                action = _actions.get(action_name)
-                if action is None:
-                    raise SwitchError(f"unknown action {action_name!r}")
-                action(action_args, packet)
-
-            return apply_exact
 
         def apply(
             packet: Packet,
@@ -1633,10 +1550,6 @@ class CompiledPipeline:
 # ---- module helpers -------------------------------------------------------
 
 
-def _noop(packet: Packet) -> None:
-    return None
-
-
 def _noop_step(args: List[int], packet: Packet) -> None:
     return None
 
@@ -1661,6 +1574,48 @@ def _run_stepped(steps, packet: Packet):
         if fields[_DROP]:
             return
         yield from step(packet)
+
+
+def _bind(env: Dict[str, object], prefix: str, obj: object) -> str:
+    """Bind ``obj`` into generated code under a positional name."""
+    name = f"{prefix}{len(env)}"
+    env[name] = obj
+    return name
+
+
+def _function_source(
+    name: str, params: str, env: Dict[str, object], body: List[str]
+) -> str:
+    """A ``def`` taking ``params`` plus every bound object as a default
+    argument (read as a fast local, not a global)."""
+    defaults = "".join(f", {bound}={bound}" for bound in env)
+    return f"def {name}({params}{defaults}):\n" + "\n".join(body) + "\n"
+
+
+def _key_source(reads: List[ast.TableRead]) -> Tuple[str, str]:
+    """Source for an exact-only table's lookup on packet ``p`` (fields
+    ``f``): the cache-key expression, and the index-key expression in
+    terms of the cache key ``k`` (a one-field key is cached bare)."""
+    parts = []
+    for read in reads:
+        if read.match_type is ast.MatchType.VALID:
+            parts.append(f"({read.ref.header!r} in p.valid_headers)")
+            continue
+        part = f"f.get({read.ref.header + '.' + read.ref.field!r}, 0)"
+        if read.mask is not None:
+            part = f"({part} & {read.mask})"
+        parts.append(part)
+    if len(parts) == 1:
+        return parts[0], "(k,)"
+    return "(" + "".join(f"{part}, " for part in parts) + ")", "k"
+
+
+def _sync_source(table: str, memo: str, pad: str) -> List[str]:
+    """Drop a stale resolution cache before probing it."""
+    return [
+        f"{pad}if {table}.generation != {memo}.generation:",
+        f"{pad}    {memo}.sync()",
+    ]
 
 
 # ---- differential testing hook --------------------------------------------

@@ -9,6 +9,7 @@ exactly how the hardware computes them.
 from __future__ import annotations
 
 import zlib
+from binascii import crc_hqx
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,16 +49,10 @@ def fields_to_bytes(values: Sequence[Tuple[int, int]]) -> bytes:
 
 
 def crc16(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE, the P4-14 default hash."""
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    """CRC-16/CCITT-FALSE, the P4-14 default hash (poly 0x1021, init
+    0xFFFF, no reflection, no final xor) -- exactly what
+    ``binascii.crc_hqx`` computes when seeded with 0xFFFF."""
+    return crc_hqx(data, 0xFFFF)
 
 
 def crc32(data: bytes) -> int:

@@ -1,9 +1,10 @@
 """Burst-mode data plane: batch execution must be invisible.
 
-``SwitchAsic.process_batch`` layers three optimizations over the
-compiled per-packet engine -- per-batch key->action memoization,
-op-major table sweeps, and exec-fused action runners -- all of which
-must be behaviourally transparent.  These tests drive every use-case
+``SwitchAsic.process_batch`` runs the compiled engine's generated
+control kernels over a burst, or op-major table sweeps where that is
+sound; both share the per-table resolution caches and exec-fused
+action runners of the per-packet path, and all of it must be
+behaviourally transparent.  These tests drive every use-case
 program (DoS, ECMP, failover, sketch, RL) plus a recirculating
 program through scalar and batch execution and require bit-identical
 egress sequences, register/counter state, and table statistics.
@@ -236,8 +237,9 @@ class TestBatchEquivalence:
             assert packet.fields[key] == int(t)
 
     def test_entries_added_between_batches_take_effect(self):
-        """Key->action memoization is scoped to one batch: a table
-        entry installed after a batch must apply to the next one."""
+        """Resolved key->action pairs are cached per table generation:
+        a table entry installed after a batch must apply to the next
+        one."""
         system = _build("dos")
         fields = {"ipv4.srcAddr": 0x0AFF0001, "ipv4.dstAddr": DST}
         first = system.asic.process_batch([Packet(fields)])
@@ -320,6 +322,25 @@ class TestBatchProfiling:
         assert snap["table_applies"]["route"] == 20  # 10 blocked
         assert snap["action_runs"]["block"] == 10
         assert snap["action_runs"]["account"] == 20
+
+    def test_scalar_counters_cover_controls_tables_actions(self):
+        """The per-packet twin: ``process`` runs the same generated
+        kernels, and under profiling every control run, table apply
+        and action run goes through a counter."""
+        system = _build("dos")
+        profile = system.asic.enable_profiling()
+        _run_scalar(system, _dos_workload(30))
+        snap = profile.snapshot()
+        assert snap["control_runs"]["ingress"] == 30
+        assert snap["table_applies"]["blocklist"] == 30
+        assert snap["table_applies"]["route"] == 20  # 10 blocked
+        assert snap["action_runs"]["block"] == 10
+        assert snap["action_runs"]["account"] == 20
+        # Every table apply ran exactly one action (each table here has
+        # a default action), so the totals agree.
+        assert sum(snap["action_runs"].values()) == sum(
+            snap["table_applies"].values()
+        )
 
     def test_profiled_batch_matches_unprofiled(self):
         workload = _dos_workload(36)
