@@ -89,7 +89,7 @@ class ReactionContext:
 
     @property
     def now(self) -> float:
-        return self._agent.driver.clock.now
+        return self._agent._clock.now
 
     def read(self, name: str) -> int:
         return self._agent.read_malleable(name)
@@ -199,36 +199,37 @@ class _MirrorReader:
                 self.mirror.duplicate, offset + lo, offset + hi,
                 memo=self.memo_dup,
             )
-        for position, index in enumerate(range(lo, hi + 1)):
-            stamp = stamps[position]
-            if stamp > self.cache_ts[index]:
-                self.cache_ts[index] = stamp
-                self.cache_values[index] = values[position]
-                self._suspect[index] = 0
-            elif stamp < self.cache_ts[index] and stamp > self._last_raw[index]:
+        cache_ts, cache_values = self.cache_ts, self.cache_values
+        last_raw, suspect = self._last_raw, self._suspect
+        for index, stamp, value in zip(range(lo, hi + 1), stamps, values):
+            if stamp > cache_ts[index]:
+                cache_ts[index] = stamp
+                cache_values[index] = value
+                suspect[index] = 0
+            elif stamp < cache_ts[index] and stamp > last_raw[index]:
                 # The slot's sequence number demonstrably advanced yet
                 # still sits below our high-water mark, which means the
                 # cached stamp came from a corrupted read.  One sighting
                 # could itself be corruption; two consecutive advancing
                 # sightings resynchronize the cache.
-                self._suspect[index] += 1
-                if self._suspect[index] >= 2:
-                    self.cache_ts[index] = stamp
-                    self.cache_values[index] = values[position]
-                    self._suspect[index] = 0
+                suspect[index] += 1
+                if suspect[index] >= 2:
+                    cache_ts[index] = stamp
+                    cache_values[index] = value
+                    suspect[index] = 0
             else:
-                self._suspect[index] = 0
-            self._last_raw[index] = stamp
+                suspect[index] = 0
+            last_raw[index] = stamp
         if seqs is not None:
             # Snapshot only after a *successful* full poll: a raise
             # above leaves the old snapshot, so the next poll re-reads.
             self._seq_cache[(lo, hi)] = seqs
-        return {index: self.cache_values[index] for index in range(lo, hi + 1)}
+        return self.cached(lo, hi)
 
     def cached(self, lo: int, hi: int) -> Dict[int, int]:
         """Last successfully polled values (fallback when the control
         channel fails mid-poll: stale but internally consistent)."""
-        return {index: self.cache_values[index] for index in range(lo, hi + 1)}
+        return dict(zip(range(lo, hi + 1), self.cache_values[lo:hi + 1]))
 
 
 class _ReactionRuntime:
@@ -251,6 +252,12 @@ class _ReactionRuntime:
         # compiled engine binds its closure to this object once;
         # the agent resets it to None whenever handles/externs change.
         self.env: Optional[ReactionEnv] = None
+        # Poll plan, resolved once by the agent's prologue/recover:
+        # container args as (c_name, register, memo, shift, mask), then
+        # mirror and malleable args in declaration order as
+        # (c_name, reader, lo, hi, param) -- reader None for a malleable.
+        self.container_reads: List[Tuple[str, str, MemoHandle, int, int]] = []
+        self.reads: List[Tuple[str, Optional[_MirrorReader], int, int, str]] = []
 
 
 class MantisAgent:
@@ -286,6 +293,7 @@ class MantisAgent:
         self.spec: ControlPlaneSpec = artifacts.spec
         self.artifacts = artifacts
         self.driver = driver
+        self._clock = driver.clock
         self.pacing_sleep_us = pacing_sleep_us
         self.verify_commits = verify_commits
         self.commit_retry_limit = commit_retry_limit
@@ -358,13 +366,22 @@ class MantisAgent:
         self._master_staged: Dict[int, int] = {}
         self._init_shadows: Dict[str, _InitShadow] = {}
         self._param_values: Dict[str, int] = {}
-        self._param_width: Dict[str, int] = {}
-        self._param_home: Dict[str, Tuple[str, int]] = {}
+        # Resolved by _resolve_plan(): positions of vv/mv in the
+        # master's args, and per malleable name its
+        # (param, alt count or None, home shadow or None for the
+        # master, position in the home's args, width mask).
+        self._vv_index = 0
+        self._mv_index = 0
+        self._malleables: Dict[
+            str, Tuple[str, Optional[int], Optional[_InitShadow], int, int]
+        ] = {}
         self._container_memos: Dict[str, MemoHandle] = {}
         self._container_cache: Dict[str, int] = {}
         self._mirror_readers: Dict[str, _MirrorReader] = {}
         self._tables: Dict[str, MalleableTableHandle] = {}
-        self._has_measurements = bool(self.spec.containers or self.spec.mirrors)
+        self._flip_mv = self._master is not None and bool(
+            self.spec.containers or self.spec.mirrors
+        )
         # Fault state: a committed-but-unmirrored flip (the old vv to
         # mirror onto), and the failure counters behind health().
         self._mirror_old_vv: Optional[int] = None
@@ -451,8 +468,6 @@ class MantisAgent:
             memo = driver.memoize("table", init.table)
             for param in init.params:
                 self._param_values[param.name] = param.init
-                self._param_width[param.name] = param.width
-                self._param_home[param.name] = (init.table, init.master)
             if init.master:
                 self._master_memo = memo
                 self._master_args = [p.init for p in init.params]
@@ -485,6 +500,7 @@ class MantisAgent:
             )
 
         self._make_table_handles()
+        self._resolve_plan()
 
         self._prologue_done = True
         self._user_init = user_init
@@ -493,6 +509,47 @@ class MantisAgent:
             user_init(context)
             # Fold any user-staged configuration in atomically.
             self._commit()
+
+    def _resolve_plan(self) -> None:
+        """Resolve, once, every lookup the dialogue loop would
+        otherwise repeat per iteration (the paper's precomputed polling
+        locations): the vv/mv positions in the master's args, each
+        malleable's home and position, and each reaction's poll plan."""
+        if self._master is not None:
+            self._vv_index = self._master.param_index("vv")
+            self._mv_index = self._master.param_index("mv")
+        homes: Dict[str, Tuple[Optional[_InitShadow], int, int]] = {}
+        for init in self.spec.init_tables:
+            shadow = None if init.master else self._init_shadows[init.table]
+            for position, param in enumerate(init.params):
+                homes[param.name] = (shadow, position, (1 << param.width) - 1)
+        for name, fld in self.spec.fields.items():
+            self._malleables[name] = (fld.param, len(fld.alts), *homes[fld.param])
+        for name, value in self.spec.values.items():
+            self._malleables[name] = (value.param, None, *homes[value.param])
+        for runtime in self._reactions:
+            spec = runtime.spec
+            runtime.container_reads = []
+            runtime.reads = []
+            for arg, (source, key) in zip(spec.decl.args, spec.arg_sources):
+                if source == "container":
+                    container, slot = self.spec.container_for(
+                        spec.name, arg.c_name
+                    )
+                    runtime.container_reads.append((
+                        arg.c_name, container.register,
+                        self._container_memos[container.register],
+                        slot.shift, (1 << slot.width) - 1,
+                    ))
+                elif source == "mirror":
+                    runtime.reads.append(
+                        (arg.c_name, self._mirror_readers[key], arg.lo,
+                         arg.hi, "")
+                    )
+                elif source == "mbl":
+                    runtime.reads.append(
+                        (arg.c_name, None, 0, 0, self._malleable(key)[0])
+                    )
 
     def _make_table_handles(self) -> None:
         alt_counts = {
@@ -557,9 +614,6 @@ class MantisAgent:
         self.mv = self._master_args[master.param_index("mv")]
 
         for init in self.spec.init_tables:
-            for param in init.params:
-                self._param_width[param.name] = param.width
-                self._param_home[param.name] = (init.table, init.master)
             if init.master:
                 for index, param in enumerate(init.params):
                     self._param_values[param.name] = self._master_args[index]
@@ -610,56 +664,52 @@ class MantisAgent:
             if entries:
                 handle.adopt_entries(entries, self.vv)
 
+        self._resolve_plan()
         self._prologue_done = True
 
     # ------------------------------------------------------------------
     # Malleable access
 
-    def _resolve_param(self, name: str) -> str:
-        if name in self.spec.values:
-            return self.spec.values[name].param
-        if name in self.spec.fields:
-            return self.spec.fields[name].param
-        raise AgentError(f"unknown malleable {name!r}")
+    def _malleable(
+        self, name: str
+    ) -> Tuple[str, Optional[int], Optional[_InitShadow], int, int]:
+        slot = self._malleables.get(name)
+        if slot is None:
+            raise AgentError(f"unknown malleable {name!r}")
+        return slot
 
     def read_malleable(self, name: str) -> int:
         """Last-written (staged or committed) value of a malleable.
 
         For malleable fields this is the current alt *index*.
         """
-        return self._param_values[self._resolve_param(name)]
+        return self._param_values[self._malleable(name)[0]]
 
     def write_malleable(self, name: str, value: int) -> None:
         """Stage a malleable update; commits at the next vv flip."""
-        param = self._resolve_param(name)
-        if name in self.spec.fields:
-            alts = self.spec.fields[name].alts
-            if not 0 <= value < len(alts):
-                raise AgentError(
-                    f"malleable field {name}: alt index {value} out of "
-                    f"range (has {len(alts)} alts)"
-                )
-        value &= (1 << self._param_width[param]) - 1
+        param, alt_count, shadow, position, mask = self._malleable(name)
+        if alt_count is not None and not 0 <= value < alt_count:
+            raise AgentError(
+                f"malleable field {name}: alt index {value} out of "
+                f"range (has {alt_count} alts)"
+            )
+        value &= mask
         self._param_values[param] = value
-        table, is_master = self._param_home[param]
         diff = self.commit_mode == "diff"
-        if is_master:
-            index = self._master.param_index(param)
-            if diff and value == self._master_args[index]:
+        if shadow is None:
+            if diff and value == self._master_args[position]:
                 # Dirty-diff dedup: re-writing the committed value is a
                 # no-op; dropping any earlier staged value restores the
                 # committed state, so nothing needs to be written.
-                self._master_staged.pop(index, None)
+                self._master_staged.pop(position, None)
                 self.dirty_writes_skipped += 1
                 return
-            self._master_staged[index] = value
+            self._master_staged[position] = value
             self.dirty_writes_staged += 1
         else:
             # Staged; the prepare write happens once per dirty init
             # table at commit time (all staged params in one entry
             # update, like the master's single default-action write).
-            shadow = self._init_shadows[table]
-            position = shadow.spec.param_index(param)
             if diff and value == shadow.args[position]:
                 shadow.staged.pop(position, None)
                 shadow.dirty = bool(shadow.staged)
@@ -695,14 +745,15 @@ class MantisAgent:
         """
         if not self._prologue_done:
             raise AgentError("run prologue() before the dialogue loop")
-        clock = self.driver.clock
+        clock = self._clock
         start = clock.now
         failures_before = self._total_failures
 
         # Roll any unfinished mirror forward *before* reactions stage
         # new changes: a stale mirror replaying after fresh prepares
         # could resurrect entries the new generation deleted.
-        if not self._finish_mirror_tolerant():
+        if self._mirror_old_vv is not None \
+                and not self._finish_mirror_tolerant():
             busy = clock.now - start
             self.last_breakdown = {
                 "mv_flip_us": 0.0, "poll_us": 0.0, "react_us": 0.0,
@@ -711,7 +762,7 @@ class MantisAgent:
             self._account_iteration(busy, failures_before)
             return busy
 
-        if self._has_measurements and self._master is not None:
+        if self._flip_mv:
             try:
                 self._write_master(mv=self.mv ^ 1)
                 self.mv ^= 1
@@ -785,7 +836,7 @@ class MantisAgent:
         if len(self.iteration_durations) > 100_000:
             del self.iteration_durations[:50_000]
         if self.pacing_sleep_us:
-            self.driver.clock.advance(self.pacing_sleep_us)
+            self._clock.advance(self.pacing_sleep_us)
             self.total_idle_us += self.pacing_sleep_us
         if self._total_failures > failures_before:
             self._consecutive_failures += 1
@@ -800,7 +851,7 @@ class MantisAgent:
         """Run dialogue iterations until the simulated clock passes
         ``time_us``; returns the number of iterations executed."""
         count = 0
-        while self.driver.clock.now < time_us and count < max_iterations:
+        while self._clock.now < time_us and count < max_iterations:
             self.run_iteration()
             count += 1
         return count
@@ -869,7 +920,7 @@ class MantisAgent:
     def _note_failure(self, error: Exception) -> None:
         self._total_failures += 1
         self._last_error = str(error)
-        self._last_error_us = self.driver.clock.now
+        self._last_error_us = self._clock.now
         # Fault safety for delta polling: a failed/retried op may have
         # returned corrupt data, so no cached seq snapshot may justify
         # skipping a poll until a clean full poll re-establishes it.
@@ -896,8 +947,8 @@ class MantisAgent:
         if fold_staged:
             for index, value in self._master_staged.items():
                 args[index] = value
-        args[master.param_index("vv")] = self.vv if vv is None else vv
-        args[master.param_index("mv")] = self.mv if mv is None else mv
+        args[self._vv_index] = self.vv if vv is None else vv
+        args[self._mv_index] = self.mv if mv is None else mv
         self.driver.set_default(
             master.table, master.action, args, memo=self._master_memo
         )
@@ -973,6 +1024,10 @@ class MantisAgent:
         if self._master is None:
             return
         self._finish_mirror()
+        # Entries a failed prepare rollback orphaned on the shadow copy
+        # must go before the flip would make them live.
+        for handle in self._tables.values():
+            handle.purge_orphans()
         # Prepare: one shadow-entry write per dirty non-master init
         # ("full" commit mode rewrites every shadow unconditionally --
         # the paper-naive baseline the dirty diff is measured against).
@@ -981,14 +1036,17 @@ class MantisAgent:
         # failure surfaces at the drain barrier, before the flip, with
         # all staged state intact for the retry.
         commit_all = self.commit_mode == "full"
-        with self._pipeline_scope():
-            for shadow in self._init_shadows.values():
-                if not (shadow.dirty or commit_all):
-                    continue
-                new_args = list(shadow.args)
-                for position, value in shadow.staged.items():
-                    new_args[position] = value
-                self._write_init_shadow(shadow, self.vv ^ 1, new_args)
+        prepared = [
+            shadow for shadow in self._init_shadows.values()
+            if shadow.dirty or commit_all
+        ]
+        if prepared:
+            with self._pipeline_scope():
+                for shadow in prepared:
+                    new_args = list(shadow.args)
+                    for position, value in shadow.staged.items():
+                        new_args[position] = value
+                    self._write_init_shadow(shadow, self.vv ^ 1, new_args)
         old_vv = self.vv
         self._write_master(vv=self.vv ^ 1, fold_staged=True)
         # The flip landed: the commit is now irrevocable.  Record the
@@ -998,9 +1056,7 @@ class MantisAgent:
         if "vv" in self._param_values:
             self._param_values["vv"] = self.vv
         self._mirror_old_vv = old_vv
-        for shadow in self._init_shadows.values():
-            if not (shadow.dirty or commit_all):
-                continue
+        for shadow in prepared:
             for position, value in shadow.staged.items():
                 shadow.args[position] = value
             shadow.staged.clear()
@@ -1067,41 +1123,31 @@ class MantisAgent:
         read values (stale but consistent) instead of raising.
         """
         args: Dict[str, object] = {}
-        decl_args = runtime.spec.decl.args
-        container_words: Dict[str, int] = {}
-        with self.driver.batch():
-            for arg, (source, _key) in zip(decl_args, runtime.spec.arg_sources):
-                if source != "container":
-                    continue
-                container, slot = self.spec.container_for(
-                    runtime.spec.name, arg.c_name
-                )
-                if container.register not in container_words:
-                    try:
-                        words = self.driver.read_registers(
-                            container.register, checkpoint, checkpoint,
-                            memo=self._container_memos[container.register],
-                        )
-                        word = words[0]
-                        self._container_cache[container.register] = word
-                    except _RECOVERABLE as error:
-                        self._note_failure(error)
-                        word = self._container_cache.get(
-                            container.register, 0
-                        )
-                    container_words[container.register] = word
-                word = container_words[container.register]
-                args[arg.c_name] = (word >> slot.shift) & ((1 << slot.width) - 1)
-        for arg, (source, key) in zip(decl_args, runtime.spec.arg_sources):
-            if source == "mirror":
-                reader = self._mirror_readers[key]
-                try:
-                    args[arg.c_name] = reader.poll(checkpoint, arg.lo, arg.hi)
-                except _RECOVERABLE as error:
-                    self._note_failure(error)
-                    args[arg.c_name] = reader.cached(arg.lo, arg.hi)
-            elif source == "mbl":
-                args[arg.c_name] = self.read_malleable(key)
+        if runtime.container_reads:
+            words: Dict[str, int] = {}
+            with self.driver.batch():
+                for c_name, register, memo, shift, mask in \
+                        runtime.container_reads:
+                    if register not in words:
+                        try:
+                            word = self.driver.read_registers(
+                                register, checkpoint, checkpoint, memo=memo
+                            )[0]
+                            self._container_cache[register] = word
+                        except _RECOVERABLE as error:
+                            self._note_failure(error)
+                            word = self._container_cache.get(register, 0)
+                        words[register] = word
+                    args[c_name] = (words[register] >> shift) & mask
+        for c_name, reader, lo, hi, param in runtime.reads:
+            if reader is None:
+                args[c_name] = self._param_values[param]
+                continue
+            try:
+                args[c_name] = reader.poll(checkpoint, lo, hi)
+            except _RECOVERABLE as error:
+                self._note_failure(error)
+                args[c_name] = reader.cached(lo, hi)
         return args
 
     def _execute(self, runtime: _ReactionRuntime, args: Dict[str, object]) -> None:
@@ -1129,9 +1175,7 @@ class MantisAgent:
         # Charge simulated CPU time for the reaction logic (the "C"
         # term of the Section 8.1 formula): ~2 ns per interpreted
         # expression, a CPU-scale per-instruction cost.
-        self.driver.clock.advance(
-            runtime.c_impl.last_op_count * self.c_op_cost_us
-        )
+        self._clock.advance(runtime.c_impl.last_op_count * self.c_op_cost_us)
 
     # ------------------------------------------------------------------
     # Statistics (Figure 11)

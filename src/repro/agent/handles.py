@@ -108,6 +108,10 @@ class MalleableTableHandle:
         # a driver failure mid-drain leaves the remainder here so the
         # agent can roll the mirror forward before the next commit.
         self._sealed_mirror: List[Tuple[int, List[List]]] = []
+        # Concrete ids a failed prepare left on the shadow copy because
+        # its rollback failed too: owned by no user entry, they must be
+        # deleted before the next vv flip would make them live.
+        self._orphans: List[int] = []
 
     # ---- public API (callable from C reaction bodies) ---------------------
 
@@ -153,14 +157,16 @@ class MalleableTableHandle:
         shadow = self._shadow_version()
         try:
             self._install(user, shadow)
-        except Exception:
-            # Best-effort rollback: a failed prepare must not leave
-            # orphaned concrete entries on the shadow copy (they would
-            # activate at the next flip with no owner).
+        except Exception as error:
+            # Roll back: a failed prepare must not leave orphaned
+            # concrete entries on the shadow copy (they would activate
+            # at the next flip with no owner).  What the rollback
+            # cannot delete now is kept for purge_orphans().
             try:
                 self._delete_concrete(user, shadow)
-            except Exception:
-                pass
+            except Exception as rollback_error:
+                self._orphans.extend(user.concrete.pop(shadow, []))
+                raise error from rollback_error
             raise
         self._users[user.user_id] = user
         self._pending_mirror.append(["add", user.user_id, ()])
@@ -200,6 +206,15 @@ class MalleableTableHandle:
         shadow = self._shadow_version()
         self._delete_concrete(user, shadow)
         self._pending_mirror.append(["delete", user_id, ()])
+
+    def purge_orphans(self) -> None:
+        """Delete the entries failed rollbacks left on the shadow
+        copy; the agent calls this before every vv flip.  Resumable:
+        each id is forgotten only once its delete landed."""
+        orphans = self._orphans
+        while orphans:
+            self.driver.delete_entry(self.name, orphans[-1], memo=self.memo)
+            orphans.pop()
 
     def seal_mirror(self, old_version: int) -> None:
         """Bind the prepared-and-committed ops to the version copy
@@ -267,8 +282,11 @@ class MalleableTableHandle:
 
     @property
     def mirror_backlog(self) -> int:
-        """Committed-but-unmirrored ops from failed commits."""
-        return sum(len(ops) for _version, ops in self._sealed_mirror)
+        """Committed-but-unmirrored ops from failed commits, plus
+        orphaned entries from failed rollbacks awaiting deletion."""
+        return len(self._orphans) + sum(
+            len(ops) for _version, ops in self._sealed_mirror
+        )
 
     def user_entry_count(self) -> int:
         return len(self._users)

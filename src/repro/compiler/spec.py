@@ -3,8 +3,9 @@
 The paper's compiler emits C code that knows where every malleable
 lives, how to poll every reaction argument, and how to expand entries
 of transformed tables.  This reproduction emits the same knowledge as
-a structured, JSON-serializable specification which the Mantis agent
-interprets.
+a structured, JSON-serializable specification.  The Mantis agent
+resolves it once, at prologue (or crash recovery), into the positions
+and poll plans its dialogue loop uses, so no iteration searches it.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ device cost alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 
 @dataclass
@@ -68,11 +69,7 @@ class PipelinedChannel:
         completion, and the device becoming free; completion lands one
         PCIe return transfer after the window closes.
         """
-        excl_start = max(now_us, prep_ready_us, self.device_free_us)
-        excl_end = excl_start + device_us
-        self.device_free_us = excl_end
-        self.device_busy_us += device_us
-        self.reservations += 1
+        excl_start, excl_end = self.claim(now_us, prep_ready_us, device_us)
         return ChannelSchedule(
             prep_start_us=prep_ready_us,
             prep_end_us=prep_ready_us,
@@ -80,6 +77,19 @@ class PipelinedChannel:
             excl_end_us=excl_end,
             done_us=excl_end + pcie_us,
         )
+
+    def claim(
+        self, now_us: float, prep_ready_us: float, device_us: float
+    ) -> Tuple[float, float]:
+        """Claim the next device-exclusive window and return its
+        ``(start, end)`` -- :meth:`reserve` without the completion
+        record, for blocking ops that only need the window."""
+        excl_start = max(now_us, prep_ready_us, self.device_free_us)
+        excl_end = excl_start + device_us
+        self.device_free_us = excl_end
+        self.device_busy_us += device_us
+        self.reservations += 1
+        return excl_start, excl_end
 
     def utilization(self, elapsed_us: float) -> float:
         """Fraction of ``elapsed_us`` the device was reserved."""

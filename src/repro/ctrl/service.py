@@ -43,7 +43,7 @@ from repro.errors import (
     DriverTimeoutError,
     TransientDriverError,
 )
-from repro.switch.driver import Driver, MemoHandle, OpRecord
+from repro.switch.driver import Driver, MemoHandle
 
 from repro.ctrl.channel import ChannelSchedule, PipelinedChannel
 
@@ -294,15 +294,10 @@ class CtrlService:
         # Latency faults on the pipelined path stretch the observed
         # completion, not the already-reserved device window.
         done_us = sched.done_us + extra
-        record = OpRecord(
-            ticket.submit_us, done_us, ticket.kind, ticket.target,
-            ticket.channel,
-            excl_start_us=sched.excl_start_us,
-            excl_end_us=sched.excl_end_us,
-            ops=ticket.op_count,
-        )
         driver.complete_op(
-            ticket.kind, fault_target, ticket.channel, record,
+            ticket.kind, fault_target, ticket.channel,
+            ticket.submit_us, done_us,
+            sched.excl_start_us, sched.excl_end_us,
             op_count=ticket.op_count,
         )
         if ticket.kind == "bulk_write":
@@ -478,7 +473,9 @@ class CtrlSession:
         return 0.0
 
     def reserve(self, now_us: float, prep_us: float, device_us: float,
-                extra_us: float, pcie_us: float) -> ChannelSchedule:
+                extra_us: float, pcie_us: float) -> Tuple[float, float, float]:
+        """Reserve one blocking op's device window; returns
+        ``(excl_start_us, excl_end_us, done_us)``."""
         channel = self.service.channel
         if self.cpu_free_us <= now_us and \
                 channel.device_free_us <= now_us + prep_us:
@@ -492,19 +489,16 @@ class CtrlSession:
             channel.device_free_us = excl_end
             channel.device_busy_us += device_us + extra_us
             channel.reservations += 1
-            return ChannelSchedule(
-                prep_start_us=now_us,
-                prep_end_us=now_us + prep_us,
-                excl_start_us=now_us + prep_us,
-                excl_end_us=excl_end,
-                done_us=now_us + (prep_us + device_us + pcie_us + extra_us),
+            return (
+                now_us + prep_us, excl_end,
+                now_us + (prep_us + device_us + pcie_us + extra_us),
             )
-        prep_start = max(now_us, self.cpu_free_us)
-        prep_end = prep_start + prep_us
+        prep_end = max(now_us, self.cpu_free_us) + prep_us
         self.cpu_free_us = prep_end
-        return channel.reserve(
-            now_us, prep_end, device_us + extra_us, pcie_us
+        excl_start, excl_end = channel.claim(
+            now_us, prep_end, device_us + extra_us
         )
+        return excl_start, excl_end, excl_end + pcie_us
 
     # ---- pipelined submits -------------------------------------------------
 

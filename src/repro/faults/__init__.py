@@ -14,6 +14,7 @@ from repro.faults.plan import (
     ALL_FAULT_KINDS,
     CORRUPTIBLE_KINDS,
     DROPPABLE_KINDS,
+    EVENT_LOG_LIMIT,
     FAULT_KINDS,
     LINK_FAULT_KINDS,
     FaultEvent,
@@ -28,6 +29,7 @@ __all__ = [
     "ALL_FAULT_KINDS",
     "CORRUPTIBLE_KINDS",
     "DROPPABLE_KINDS",
+    "EVENT_LOG_LIMIT",
     "FAULT_KINDS",
     "LINK_FAULT_KINDS",
     "FaultEvent",

@@ -29,8 +29,9 @@ and/or a bounded number of times.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from typing import Callable, Deque, FrozenSet, List, Optional, Tuple
 
 FAULT_KINDS = ("transient", "latency", "drop", "corrupt")
 
@@ -42,6 +43,11 @@ FAULT_KINDS = ("transient", "latency", "drop", "corrupt")
 LINK_FAULT_KINDS = ("link_drop", "link_corrupt")
 
 ALL_FAULT_KINDS = FAULT_KINDS + LINK_FAULT_KINDS
+
+#: Most recent :class:`FaultEvent` records a :class:`FaultInjector`
+#: keeps; an uncapped always-on spec would otherwise grow the log by
+#: one record per op for the whole run.
+EVENT_LOG_LIMIT = 4096
 
 # Ops a `drop` fault may target: value writes with no return value.
 DROPPABLE_KINDS = frozenset(
@@ -196,22 +202,22 @@ class FaultInjector:
     randomness (probability rolls, corruption placement) comes from
     one ``random.Random(plan.seed)``, so behaviour is a pure function
     of the plan and the op sequence.
+
+    ``events`` is a ring of the last :data:`EVENT_LOG_LIMIT` injected
+    faults; ``triggered`` counts every fault ever injected.
     """
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.rng = random.Random(plan.seed)
         self.enabled = True
-        self.events: List[FaultEvent] = []
+        self.events: Deque[FaultEvent] = deque(maxlen=EVENT_LOG_LIMIT)
+        self.triggered = 0
         self._trigger_counts = [0] * len(plan.specs)
 
     def attach(self, driver) -> "FaultInjector":
         driver.fault_injector = self
         return self
-
-    @property
-    def triggered(self) -> int:
-        return len(self.events)
 
     def intercept(
         self, op_kind: str, target: str, channel: str,
@@ -230,6 +236,7 @@ class FaultInjector:
             if spec.probability < 1.0 and self.rng.random() >= spec.probability:
                 continue
             self._trigger_counts[index] += 1
+            self.triggered += 1
             self.events.append(
                 FaultEvent(
                     now_us, op_index, spec.kind, op_kind, target, channel,

@@ -44,13 +44,14 @@ class EventQueue:
         in the same drain if they are due.  Returns the number of
         events run.
         """
-        if self._draining:
+        heap = self._heap
+        if not heap or heap[0][0] > now_us or self._draining:
             return 0
         self._draining = True
         ran = 0
         try:
-            while self._heap and self._heap[0][0] <= now_us:
-                time_us, _seq, callback = heapq.heappop(self._heap)
+            while heap and heap[0][0] <= now_us:
+                time_us, _seq, callback = heapq.heappop(heap)
                 callback(time_us)
                 ran += 1
                 self.processed += 1

@@ -187,7 +187,7 @@ class Scheduler:
 
         self.clock = clock or SimClock()
         self.events = EventQueue()
-        self.clock.add_listener(self._on_clock)
+        self.clock.add_listener(self.events.drain)
         # Actor heap entries are (time, seq, record); a record whose
         # entry field no longer matches the popped triple is stale
         # (re-armed or cancelled) and skipped lazily.
@@ -200,9 +200,6 @@ class Scheduler:
         self.actor_fires = 0
 
     # ---- events ------------------------------------------------------------
-
-    def _on_clock(self, now_us: float) -> None:
-        self.events.drain(now_us)
 
     def at(self, time_us: float, fn: Callable[[float], None]) -> None:
         """One-shot event at an absolute time (link failures, horizon

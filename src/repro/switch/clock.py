@@ -34,29 +34,36 @@ class SimClock:
         """Register ``callback(now_us)`` to run after each advance."""
         self._listeners.append(callback)
 
-    def _notify(self) -> None:
-        if self._notifying:
-            return
-        self._notifying = True
-        try:
-            for callback in self._listeners:
-                callback(self._now)
-        finally:
-            self._notifying = False
+    # ``advance``/``advance_to`` notify listeners inline: every driver
+    # op advances the clock, so this is a hot path.  The guard makes
+    # notification non-reentrant -- an advance made *by* a listener
+    # does not notify again.
 
     def advance(self, delta_us: float) -> float:
         """Move time forward by ``delta_us`` and return the new time."""
         if delta_us < 0:
             raise ValueError(f"cannot advance clock by {delta_us} us")
         self._now += delta_us
-        self._notify()
+        if self._listeners and not self._notifying:
+            self._notifying = True
+            try:
+                for callback in self._listeners:
+                    callback(self._now)
+            finally:
+                self._notifying = False
         return self._now
 
     def advance_to(self, time_us: float) -> float:
         """Move time forward to ``time_us`` (no-op if already later)."""
         if time_us > self._now:
             self._now = time_us
-            self._notify()
+            if self._listeners and not self._notifying:
+                self._notifying = True
+                try:
+                    for callback in self._listeners:
+                        callback(self._now)
+                finally:
+                    self._notifying = False
         return self._now
 
     def __repr__(self) -> str:

@@ -243,11 +243,6 @@ class Driver:
         self.last_error = message
         self.last_error_us = self.clock.now
 
-    def _record_op(self, record: OpRecord) -> None:
-        self.timeline_total += 1
-        if self.record_timeline:
-            self.timeline.append(record)
-
     # ---- control-plane service hooks --------------------------------------
     #
     # The pipelined service (repro.ctrl) schedules device windows
@@ -276,11 +271,18 @@ class Driver:
 
     def complete_op(
         self, kind: str, target: str, channel: str,
-        record: OpRecord, op_count: int = 1,
+        start_us: float, end_us: float,
+        excl_start_us: float, excl_end_us: float, op_count: int = 1,
     ) -> None:
-        """Account one successfully applied op (service async path)."""
+        """Account one successfully applied op (service async path);
+        its :class:`OpRecord` is built only when the timeline is on."""
         self.ops_issued += op_count
-        self._record_op(record)
+        self.timeline_total += 1
+        if self.record_timeline:
+            self.timeline.append(OpRecord(
+                start_us, end_us, kind, target, channel,
+                excl_start_us, excl_end_us, op_count,
+            ))
         for hook in self.post_op_hooks:
             hook(kind, target, channel)
 
@@ -304,107 +306,117 @@ class Driver:
         raises (e.g. a full table) costs nothing -- device state and
         the cost model stay in lockstep either way.
         """
-        policy = self.retry_policy
-        deadline = None
-        if policy is not None and policy.deadline_us is not None:
-            deadline = self.clock.now + policy.deadline_us
+        model = self.model
+        prep = (
+            model.memoized_prep_us
+            if memo is not None and self.memoization_enabled
+            else model.op_prep_us
+        )
+        clock = self.clock
+        injector = self.fault_injector
         attempt = 0
         while True:
-            attempt += 1
             self.op_attempts += 1
-            prep = (
-                self.model.memoized_prep_us
-                if memo is not None and self.memoization_enabled
-                else self.model.op_prep_us
-            )
-            pcie = 0.0
             if session is not None:
                 # Session-scoped batching: a concurrent client's op
                 # must not be mispriced by another session's open
                 # batch, so each session carries its own batch state.
                 pcie = session.next_pcie_us()
             elif self._batch_depth == 0:
-                pcie = self.model.pcie_rtt_us
+                pcie = model.pcie_rtt_us
             elif not self._batch_pcie_paid:
-                pcie = self.model.pcie_rtt_us
+                pcie = model.pcie_rtt_us
                 self._batch_pcie_paid = True
-            fault = None
-            if self.fault_injector is not None:
-                fault = self.fault_injector.intercept(
-                    kind, target, channel, self.op_attempts, self.clock.now
-                )
-            if fault is not None and fault.kind == "transient":
-                # The round trip happened but the device rejected the
-                # op: pay prep + PCIe, mutate nothing.
-                self.clock.advance(prep + pcie)
-                message = f"injected transient failure on {kind} {target!r}"
-                self._record_error(kind, message)
-                error = TransientDriverError(message)
-                if policy is None:
-                    raise error
-                if attempt >= policy.max_attempts:
-                    self.timeouts_total += 1
-                    raise DriverTimeoutError(
-                        f"{kind} {target!r} failed after {attempt} attempts"
-                    ) from error
-                backoff = min(
-                    policy.backoff_base_us
-                    * policy.backoff_multiplier ** (attempt - 1),
-                    policy.backoff_max_us,
-                )
-                if deadline is not None and self.clock.now + backoff > deadline:
-                    self.timeouts_total += 1
-                    raise DriverTimeoutError(
-                        f"{kind} {target!r} exceeded its "
-                        f"{policy.deadline_us} us deadline"
-                    ) from error
-                self.clock.advance(backoff)
-                self.retries_total += 1
-                self.op_retries[kind] = self.op_retries.get(kind, 0) + 1
-                continue
-            start = self.clock.now
-            result = None
-            if fault is not None and fault.kind == "drop":
-                # Silently lost write: cost is paid, success is
-                # reported, nothing lands.  Restricted by the injector
-                # to value writes (no result, safe to lose).
-                pass
-            elif apply is not None:
-                result = apply()
-            extra = (
-                fault.extra_us
-                if fault is not None and fault.kind == "latency"
-                else 0.0
-            )
-            if session is not None:
-                # Blocking session op: the shared channel may hold the
-                # device for another client, so the exclusive window
-                # starts at the later of prep-done and device-free.
-                # Uncontended, this degenerates to exactly the
-                # synchronous timing below (same total, same window,
-                # bit-identical float arithmetic).
-                sched = session.reserve(start, prep, device_cost, extra, pcie)
-                excl_start = sched.excl_start_us
-                excl_end = sched.excl_end_us
-                self.clock.advance_to(sched.done_us)
             else:
-                self.clock.advance(prep + device_cost + pcie + extra)
-                excl_start = start + prep
-                excl_end = start + prep + device_cost + extra
-            if fault is not None and fault.kind == "corrupt":
-                result = fault.corrupt(result)
-            self.ops_issued += op_count
-            self._record_op(
-                OpRecord(
-                    start, self.clock.now, kind, target, channel,
-                    excl_start_us=excl_start,
-                    excl_end_us=excl_end,
-                    ops=op_count,
+                pcie = 0.0
+            fault = None
+            if injector is not None:
+                fault = injector.intercept(
+                    kind, target, channel, self.op_attempts, clock.now
                 )
+            if fault is None or fault.kind != "transient":
+                break
+            attempt += 1
+            if attempt == 1:
+                op_start = clock.now  # nothing has advanced it yet
+            self._reject_attempt(kind, target, prep + pcie, attempt, op_start)
+        start = clock.now
+        if fault is None:
+            result = None if apply is None else apply()
+            extra = 0.0
+        else:
+            # Latency, drop and corrupt faults let the op complete.
+            # A drop is a silently lost write: cost is paid, success is
+            # reported, nothing lands (the injector restricts it to
+            # value writes, which have no result to lose).
+            result = None
+            if fault.kind != "drop" and apply is not None:
+                result = apply()
+            extra = fault.extra_us if fault.kind == "latency" else 0.0
+        if session is not None:
+            # Blocking session op: the shared channel may hold the
+            # device for another client, so the exclusive window
+            # starts at the later of prep-done and device-free.
+            # Uncontended, this degenerates to exactly the
+            # synchronous timing below (same total, same window,
+            # bit-identical float arithmetic).
+            excl_start, excl_end, done = session.reserve(
+                start, prep, device_cost, extra, pcie
             )
-            for hook in self.post_op_hooks:
-                hook(kind, target, channel)
-            return result
+            clock.advance_to(done)
+        else:
+            clock.advance(prep + device_cost + pcie + extra)
+            excl_start = start + prep
+            excl_end = start + prep + device_cost + extra
+        if fault is not None and fault.kind == "corrupt":
+            result = fault.corrupt(result)
+        self.ops_issued += op_count
+        self.timeline_total += 1
+        if self.record_timeline:
+            self.timeline.append(OpRecord(
+                start, clock.now, kind, target, channel,
+                excl_start, excl_end, op_count,
+            ))
+        for hook in self.post_op_hooks:
+            hook(kind, target, channel)
+        return result
+
+    def _reject_attempt(
+        self, kind: str, target: str, wasted_us: float, attempt: int,
+        op_start_us: float,
+    ) -> None:
+        """One attempt hit an injected transient failure: the round
+        trip happened but the device rejected the op, so pay prep +
+        PCIe and mutate nothing.  Raises unless the retry policy allows
+        another attempt within its budget (counted from
+        ``op_start_us``), in which case the backoff is slept here."""
+        self.clock.advance(wasted_us)
+        message = f"injected transient failure on {kind} {target!r}"
+        self._record_error(kind, message)
+        error = TransientDriverError(message)
+        policy = self.retry_policy
+        if policy is None:
+            raise error
+        if attempt >= policy.max_attempts:
+            self.timeouts_total += 1
+            raise DriverTimeoutError(
+                f"{kind} {target!r} failed after {attempt} attempts"
+            ) from error
+        backoff = min(
+            policy.backoff_base_us
+            * policy.backoff_multiplier ** (attempt - 1),
+            policy.backoff_max_us,
+        )
+        if policy.deadline_us is not None and \
+                self.clock.now + backoff > op_start_us + policy.deadline_us:
+            self.timeouts_total += 1
+            raise DriverTimeoutError(
+                f"{kind} {target!r} exceeded its "
+                f"{policy.deadline_us} us deadline"
+            ) from error
+        self.clock.advance(backoff)
+        self.retries_total += 1
+        self.op_retries[kind] = self.op_retries.get(kind, 0) + 1
 
     def prep_cost(
         self, memo_kind: str, name: str, memo: Optional[MemoHandle] = None

@@ -370,3 +370,59 @@ class TestCommitPathMemoization:
         ]
         assert shadow_calls  # the split program really has shadows
         assert all(memo is not None for _table, memo in shadow_calls)
+
+
+FIELD_TABLE_PROGRAM = STANDARD_METADATA_P4 + """
+header_type h_t { fields { a : 16; b : 16; out1 : 16; } }
+header h_t hdr;
+malleable field sel {
+    width : 16; init : hdr.a;
+    alts { hdr.a, hdr.b }
+}
+action set_out(v) { modify_field(hdr.out1, v); }
+action nop() { no_op(); }
+malleable table m {
+    reads { ${sel} : exact; }
+    actions { set_out; nop; }
+    default_action : nop();
+    size : 32;
+}
+control ingress { apply(m); }
+"""
+
+
+class TestFailedPrepareRollback:
+    """A user entry on a malleable-field table fans out to one concrete
+    entry per alt.  When the prepare fails midway and its rollback
+    fails too, the entries already installed must not go live at the
+    next flip with no owner."""
+
+    def test_orphans_from_failed_rollback_are_purged_before_the_flip(self):
+        system = MantisSystem.from_source(FIELD_TABLE_PROGRAM)
+        agent = system.agent
+        agent.prologue()
+        handle = agent.table("m")
+        first = system.driver.op_attempts + 1
+        # The first concrete add lands, the second fails, and so does
+        # the rollback's delete of the first.
+        injector = inject(system, FaultSpec(
+            kind="transient",
+            op_kinds=frozenset({"table_add", "table_delete"}),
+            targets=frozenset({"m"}), op_range=(first + 1, first + 2),
+        ))
+        with pytest.raises(TransientDriverError) as raised:
+            handle.add([4], "set_out", [9])
+        assert isinstance(raised.value.__cause__, TransientDriverError)
+        assert handle.user_entry_count() == 0
+        assert len(system.asic.get_table("m").entries) == 1
+        assert handle.mirror_backlog == 1
+        assert agent.health().degraded
+
+        injector.enabled = False
+        agent.run_iteration()
+        assert handle.mirror_backlog == 0
+        assert agent.health().healthy
+        assert len(system.asic.get_table("m").entries) == 0
+        packet = Packet({"hdr.a": 4, "hdr.b": 4})
+        system.asic.process(packet)
+        assert packet.get("hdr.out1") == 0

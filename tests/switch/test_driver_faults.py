@@ -13,6 +13,7 @@ from repro.errors import DriverError, DriverTimeoutError, TransientDriverError
 from repro.faults import (
     CORRUPTIBLE_KINDS,
     DROPPABLE_KINDS,
+    EVENT_LOG_LIMIT,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -257,6 +258,16 @@ class TestInjectorBookkeeping:
         assert injector.triggered == 2
         assert [e.fault_kind for e in injector.events] == ["transient"] * 2
         assert all(e.op_kind == "register_write" for e in injector.events)
+
+    def test_event_log_is_bounded_but_triggered_counts_all(self):
+        plan = FaultPlan(seed=1, specs=[FaultSpec(kind="latency")])
+        driver = make_driver(plan)
+        injector = driver.fault_injector
+        for index in range(10_000):
+            driver.write_register("wide", index % 64, index)
+        assert injector.triggered == 10_000
+        assert len(injector.events) <= EVENT_LOG_LIMIT
+        assert injector.events[-1].op_index == driver.op_attempts
 
     def test_disable_silences_injection(self):
         driver = make_driver(transient_plan())
