@@ -19,9 +19,8 @@ Subcommands mirror the workflow of the paper's toolchain:
   2-switch pair vs the FatTree fleet plus the rebalance-vs-static
   max-link-utilization headline (tier-2 perf gate);
 - ``bench-fastpath`` -- measure packets/sec of the interpreter vs the
-  compiled vs the columnar pipeline (with a batch-size sweep) on the
-  Figure 15 DoS workload plus the ECMP rotating-hash workload, with
-  per-workload columnar fallback counts (tier-2 perf gate);
+  compiled per-packet vs the compiled burst pipeline on the Figure 15
+  DoS workload (tier-2 perf gate);
 - ``bench-agent`` -- measure the control-plane fast path: compiled vs
   interpreted reactions/sec, dirty-diff vs full commit op counts, and
   the delta-polling skip rate (tier-2 perf gate);
@@ -352,40 +351,18 @@ def cmd_bench_fastpath(args) -> int:
         json_path=json_path,
         batch_size=args.batch_size,
         profile=args.profile,
-        engine=args.engine,
     )
     print(f"workload          : {result['workload']}")
     print(f"packets           : {result['packets']}")
-    if "interpreter_pps" in result:
-        print(f"interpreter       : "
-              f"{result['interpreter_pps']:>12,.1f} pkt/s")
-        print(f"compiled          : {result['compiled_pps']:>12,.1f} pkt/s")
+    print(f"interpreter       : {result['interpreter_pps']:>12,.1f} pkt/s")
+    print(f"compiled          : {result['compiled_pps']:>12,.1f} pkt/s")
     batch_label = f"batch (x{result['batch_size']})"
     print(f"{batch_label:<18s}: {result['batch_pps']:>12,.1f} pkt/s")
-    for size, pps in result["columnar_pps_by_batch"].items():
-        columnar_label = f"columnar (x{size})"
-        print(f"{columnar_label:<18s}: {pps:>12,.1f} pkt/s")
-    if "speedup" in result:
-        print(f"speedup           : {result['speedup']:.2f}x "
-              "(compiled vs interpreter)")
-        print(f"batch speedup     : "
-              f"{result['batch_speedup_vs_compiled']:.2f}x "
-              "(batch vs compiled per-packet)")
-    print(f"columnar speedup  : "
-          f"{result['columnar_speedup_vs_batch']:.2f}x "
-          "(columnar vs batch)")
-    print(f"ecmp batch        : {result['ecmp_batch_pps']:>12,.1f} pkt/s")
-    print(f"ecmp columnar     : {result['ecmp_columnar_pps']:>12,.1f} pkt/s")
-    print(f"ecmp speedup      : "
-          f"{result['ecmp_columnar_speedup_vs_batch']:.2f}x "
-          "(columnar vs batch)")
-    for workload, fallbacks in sorted(
-        result["fallbacks_by_workload"].items()
-    ):
-        rendered = ", ".join(
-            f"{reason}={count}" for reason, count in sorted(fallbacks.items())
-        ) or "none"
-        print(f"fallbacks [{workload}]: {rendered}")
+    print(f"speedup           : {result['speedup']:.2f}x "
+          "(compiled vs interpreter)")
+    print(f"batch speedup     : "
+          f"{result['batch_speedup_vs_compiled']:.2f}x "
+          "(batch vs compiled per-packet)")
     if args.profile:
         profile = result["profile"]
         print("-- hot loops (data plane) --")
@@ -677,19 +654,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench-fastpath",
-        help="compare interpreter vs compiled vs columnar pipeline "
-             "packet rates",
+        help="compare interpreter vs compiled per-packet vs compiled "
+             "burst pipeline packet rates",
     )
     p_bench.add_argument("--packets", type=int, default=20_000,
                          help="packets to pump through each engine")
     p_bench.add_argument("--batch-size", type=int, default=256,
                          help="packets per process_batch call in "
                               "burst mode")
-    p_bench.add_argument("--engine", choices=("all", "columnar"),
-                         default="all",
-                         help="'columnar' skips the per-packet engines "
-                              "and measures only the batch baseline plus "
-                              "the columnar batch-size sweep")
     p_bench.add_argument("--profile", action="store_true",
                          help="also report hot-loop counters (data-plane "
                               "control/table/action counts and agent "

@@ -569,7 +569,7 @@ class CtrlSession:
         for base in range(0, len(ops), chunk_size):
             chunk = ops[base:base + chunk_size]
             applies, table_entries, register_writes = \
-                _normalize_bulk_chunk(driver, chunk)
+                driver.bulk_applies(chunk)
             device_us = driver.model.bulk_write_cost(
                 table_entries, register_writes
             )
@@ -622,55 +622,6 @@ class CtrlSession:
             "p99_latency_us":
                 ordered[min(count - 1, int(count * 0.99))] if count else 0.0,
         }
-
-
-def _normalize_bulk_chunk(driver: Driver, ops: Sequence[Tuple]):
-    """Resolve one bulk chunk into apply closures + entry counts
-    (mirrors :meth:`Driver.write_batch`'s verb table)."""
-    applies: List[Callable[[], object]] = []
-    table_entries = 0
-    register_writes = 0
-    for op in ops:
-        verb = op[0]
-        if verb == "add":
-            _, table, key, action, args = op[:5]
-            priority = op[5] if len(op) > 5 else 0
-            runtime = driver.asic.get_table(table)
-            applies.append(
-                lambda r=runtime, k=key, a=action, g=args, p=priority:
-                    r.add_entry(k, a, g, p)
-            )
-            table_entries += 1
-        elif verb == "modify":
-            _, table, entry_id, action, args = op
-            runtime = driver.asic.get_table(table)
-            applies.append(
-                lambda r=runtime, e=entry_id, a=action, g=args:
-                    r.modify_entry(e, a, g)
-            )
-            table_entries += 1
-        elif verb == "delete":
-            _, table, entry_id = op
-            runtime = driver.asic.get_table(table)
-            applies.append(lambda r=runtime, e=entry_id: r.delete_entry(e))
-            table_entries += 1
-        elif verb == "set_default":
-            _, table, action, args = op
-            runtime = driver.asic.get_table(table)
-            applies.append(
-                lambda r=runtime, a=action, g=args: r.set_default(a, g)
-            )
-            table_entries += 1
-        elif verb == "write_register":
-            _, name, index, value = op
-            register = driver.asic.get_register(name)
-            applies.append(
-                lambda r=register, i=index, v=value: r.write(i, v)
-            )
-            register_writes += 1
-        else:
-            raise DriverError(f"unknown bulk op verb {verb!r}")
-    return applies, table_entries, register_writes
 
 
 class SessionDriver:

@@ -17,8 +17,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro.apps.dos import DOS_P4R, DosMitigationApp
-from repro.apps.ecmp import ECMP_P4R, HashPolarizationApp
-from repro.switch.columnar import ColumnarPool
 from repro.switch.packet import Packet, PacketPool, PacketTemplate
 from repro.system import MantisSystem
 
@@ -26,13 +24,6 @@ DST_ADDR = 0x0A00FFFF
 ATTACKER_ADDR = 0x0AFF0001
 DST_PORT = 1
 DEFAULT_BATCH_SIZE = 256
-COLUMNAR_SWEEP_SIZES = (256, 1024, 4096)
-
-#: Fallback reasons the DoS columnar run is allowed to report.  The
-#: Figure 15 ingress is fully vectorizable, so the set is empty; any
-#: entry means a lowering regression and the bench run fails loudly
-#: rather than silently timing the scalar drain.
-DOS_EXPECTED_FALLBACKS: frozenset = frozenset()
 
 
 def build_dos_system(
@@ -49,36 +40,6 @@ def build_dos_system(
     app.prologue()
     app.add_route(DST_ADDR, DST_PORT)
     return app
-
-
-def build_ecmp_system(execution_mode: str) -> HashPolarizationApp:
-    """The Section 8.3.3 ECMP switch: crc16 over two malleable hash
-    inputs picks a bucket, an exact match forwards it, and the egress
-    counter does a dynamic-index register read-modify-write -- the
-    workload that exercises the vectorized hash + 'g'-kind lowering."""
-    system = MantisSystem.from_source(
-        ECMP_P4R, num_ports=16, execution_mode=execution_mode
-    )
-    app = HashPolarizationApp(system=system)
-    app.prologue()
-    return app
-
-
-def make_ecmp_workload(n_packets: int) -> List[Dict[str, int]]:
-    """Field maps for the ECMP mix: flows with rotating addresses and
-    ports so the crc16 buckets actually spread across paths."""
-    workload = []
-    for index in range(n_packets):
-        workload.append(
-            {
-                "ipv4.srcAddr": 0x0A000001 + (index * 7919) % 65536,
-                "ipv4.dstAddr": 0x0B000001 + index % 251,
-                "ipv4.proto": 6,
-                "l4.sport": 1000 + (index * 13) % 50000,
-                "l4.dport": 443,
-            }
-        )
-    return workload
 
 
 def make_workload(n_packets: int, n_benign: int = 12) -> List[Dict[str, int]]:
@@ -127,12 +88,11 @@ def measure_batch_mode(
     workload: List[Dict[str, int]],
     batch_size: int = DEFAULT_BATCH_SIZE,
     warmup: int = 200,
-    builder=build_dos_system,
 ) -> Dict[str, float]:
     """Pump the workload through ``SwitchAsic.process_batch`` on the
     compiled engine, ``batch_size`` packets per call, reusing pooled
     packets (the burst-mode fast path)."""
-    app = builder("compiled")
+    app = build_dos_system("compiled")
     process_batch = app.system.asic.process_batch
     templates = [
         PacketTemplate(fields, size_bytes=1500) for fields in workload
@@ -147,37 +107,6 @@ def measure_batch_mode(
     return {
         "packets_per_sec": len(workload) / elapsed if elapsed else float("inf"),
         "elapsed_sec": elapsed,
-    }
-
-
-def measure_columnar_mode(
-    workload: List[Dict[str, int]],
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    warmup: int = 200,
-    builder=build_dos_system,
-) -> Dict[str, object]:
-    """Pump the workload through ``SwitchAsic.process_batch_columnar``
-    on the columnar engine: templates become a :class:`ColumnarPool`
-    (one numpy array per field, built outside the timed region), and
-    each timed call slices one struct-of-arrays batch and runs the
-    vectorized op-major sweeps with no Packet materialization."""
-    app = builder("columnar")
-    asic = app.system.asic
-    process = asic.process_batch_columnar
-    templates = [
-        PacketTemplate(fields, size_bytes=1500) for fields in workload
-    ]
-    pool = ColumnarPool(templates)
-    for start in range(0, min(warmup, len(templates)), batch_size):
-        process(pool.batch(start, start + batch_size))
-    begin = time.perf_counter()
-    for start in range(0, len(templates), batch_size):
-        process(pool.batch(start, start + batch_size))
-    elapsed = time.perf_counter() - begin
-    return {
-        "packets_per_sec": len(workload) / elapsed if elapsed else float("inf"),
-        "elapsed_sec": elapsed,
-        "fallbacks": dict(asic.executor.fallback_counts),
     }
 
 
@@ -220,102 +149,37 @@ def run_fastpath_benchmark(
     json_path: Optional[str] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     profile: bool = False,
-    engine: str = "all",
 ) -> Dict[str, object]:
-    """Measure all four paths (interpreter, compiled per-packet,
-    compiled batch, columnar) on the same workload; optionally persist
-    the JSON artifact.  The columnar engine runs a batch-size sweep
-    (``COLUMNAR_SWEEP_SIZES`` capped at the workload size) and reports
-    the best point as ``columnar_pps``.  ``engine="columnar"`` skips
-    the per-packet engines and measures only the batch baseline plus
-    the columnar sweep (the quick-iteration path; the full artifact
-    needs ``engine="all"``).  Returns the result payload."""
-    if engine not in ("all", "columnar"):
-        raise ValueError(f"unknown engine {engine!r}")
+    """Measure all three paths (interpreter, compiled per-packet,
+    compiled batch) on the same workload; optionally persist the JSON
+    artifact.  Returns the result payload."""
     workload = make_workload(n_packets)
-    full = engine == "all"
-    if full:
-        interpreter = measure_mode("interpreter", workload)
-        compiled = measure_mode("compiled", workload)
-    sweep_sizes = sorted(
-        {min(size, max(n_packets, 1)) for size in COLUMNAR_SWEEP_SIZES}
+    interpreter = measure_mode("interpreter", workload)
+    compiled = measure_mode("compiled", workload)
+    batch = measure_batch_mode(workload, batch_size=batch_size)
+    speedup = (
+        compiled["packets_per_sec"] / interpreter["packets_per_sec"]
+        if interpreter["packets_per_sec"]
+        else float("inf")
     )
-
-    def sweep(packets, builder):
-        """Batch baseline plus the columnar batch-size sweep for one
-        workload; returns (batch, best columnar, sweep dict, speedup)."""
-        base = measure_batch_mode(
-            packets, batch_size=batch_size, builder=builder
-        )
-        by_size = {
-            size: measure_columnar_mode(
-                packets, batch_size=size, builder=builder
-            )
-            for size in sweep_sizes
-        }
-        best = max(by_size.values(), key=lambda r: r["packets_per_sec"])
-        ratio = (
-            best["packets_per_sec"] / base["packets_per_sec"]
-            if base["packets_per_sec"]
-            else float("inf")
-        )
-        return base, best, by_size, ratio
-
-    batch, columnar, columnar_sweep, columnar_speedup = sweep(
-        workload, build_dos_system
-    )
-    unexpected = set(columnar["fallbacks"]) - DOS_EXPECTED_FALLBACKS
-    if unexpected:
-        raise RuntimeError(
-            "unexpected columnar fallbacks on the DoS workload "
-            f"(lowering regression): {sorted(unexpected)} "
-            f"-> {columnar['fallbacks']}"
-        )
-    ecmp_workload = make_ecmp_workload(n_packets)
-    ecmp_batch, ecmp_columnar, _, ecmp_speedup = sweep(
-        ecmp_workload, build_ecmp_system
+    batch_speedup = (
+        batch["packets_per_sec"] / compiled["packets_per_sec"]
+        if compiled["packets_per_sec"]
+        else float("inf")
     )
     payload: Dict[str, object] = {
         "workload": "figure15-dos",
         "packets": n_packets,
         "batch_size": batch_size,
+        "interpreter_pps": round(interpreter["packets_per_sec"], 1),
+        "compiled_pps": round(compiled["packets_per_sec"], 1),
         "batch_pps": round(batch["packets_per_sec"], 1),
-        "columnar_pps": round(columnar["packets_per_sec"], 1),
-        "columnar_pps_by_batch": {
-            str(size): round(result["packets_per_sec"], 1)
-            for size, result in columnar_sweep.items()
-        },
-        "columnar_fallbacks": columnar["fallbacks"],
+        "interpreter_elapsed_sec": round(interpreter["elapsed_sec"], 6),
+        "compiled_elapsed_sec": round(compiled["elapsed_sec"], 6),
         "batch_elapsed_sec": round(batch["elapsed_sec"], 6),
-        "columnar_elapsed_sec": round(columnar["elapsed_sec"], 6),
-        "columnar_speedup_vs_batch": round(columnar_speedup, 3),
-        "ecmp_batch_pps": round(ecmp_batch["packets_per_sec"], 1),
-        "ecmp_columnar_pps": round(ecmp_columnar["packets_per_sec"], 1),
-        "ecmp_columnar_speedup_vs_batch": round(ecmp_speedup, 3),
-        "fallbacks_by_workload": {
-            "figure15-dos": columnar["fallbacks"],
-            "ecmp-rotating-hash": ecmp_columnar["fallbacks"],
-        },
+        "speedup": round(speedup, 3),
+        "batch_speedup_vs_compiled": round(batch_speedup, 3),
     }
-    if full:
-        speedup = (
-            compiled["packets_per_sec"] / interpreter["packets_per_sec"]
-            if interpreter["packets_per_sec"]
-            else float("inf")
-        )
-        batch_speedup = (
-            batch["packets_per_sec"] / compiled["packets_per_sec"]
-            if compiled["packets_per_sec"]
-            else float("inf")
-        )
-        payload.update(
-            interpreter_pps=round(interpreter["packets_per_sec"], 1),
-            compiled_pps=round(compiled["packets_per_sec"], 1),
-            interpreter_elapsed_sec=round(interpreter["elapsed_sec"], 6),
-            compiled_elapsed_sec=round(compiled["elapsed_sec"], 6),
-            speedup=round(speedup, 3),
-            batch_speedup_vs_compiled=round(batch_speedup, 3),
-        )
     if profile:
         payload["profile"] = profile_fastpath()
     if json_path:

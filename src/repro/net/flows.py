@@ -39,7 +39,7 @@ class TraceConfig:
 
 @dataclass
 class Trace:
-    """Columnar packet trace."""
+    """Packet trace as parallel per-field arrays."""
 
     times_us: np.ndarray  # float64, sorted
     src_ips: np.ndarray  # uint32 (per-sender statistics, like Poseidon)

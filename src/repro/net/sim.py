@@ -12,10 +12,10 @@ propagation taken from the egress port's
 fabric and forwards the legacy port/host API to it.
 
 The per-switch mechanics (port queues, lazy accounting, peer handoff,
-link faults, the vectorized burst tail) live in
-:mod:`repro.net.fabric`; this module composes them and keeps the
-historical import surface (``from repro.net.sim import NetworkSim,
-PortConfig, Link, LinkFaultModel, ...`` all still work).
+link faults) live in :mod:`repro.net.fabric`; this module composes
+them and keeps the historical import surface (``from repro.net.sim
+import NetworkSim, PortConfig, Link, LinkFaultModel, ...`` all still
+work).
 
 Fabric cost scales with *active events*, not fabric size: link
 endpoints are indexed by ``(switch, port)``, per-port queue accounting
@@ -46,10 +46,7 @@ from repro.net.fabric import (  # noqa: F401  (re-exported surface)
     Link,
     LinkFaultModel,
     PortConfig,
-    _BurstTM,
     _PortState,
-    _burst_vec_ok,
-    _prim_touches,
 )
 from repro.runtime import Scheduler
 from repro.switch.clock import SimClock

@@ -24,12 +24,6 @@ from repro.errors import SwitchError
 from repro.p4 import ast
 from repro.p4.validate import validate_program
 from repro.switch.clock import SimClock
-from repro.switch import columnar as columnar_engine
-from repro.switch.columnar import (
-    ColumnarBatch,
-    ColumnarPipeline,
-    ColumnarResult,
-)
 from repro.switch.compiled import CompiledPipeline, PipelineProfile
 from repro.switch.packet import Packet, STANDARD_METADATA_FIELDS
 from repro.switch.pipeline import PipelineExecutor
@@ -50,13 +44,11 @@ STANDARD_METADATA_P4 = (
 MAX_RECIRCULATIONS = 4
 
 # Execution-engine selection: "compiled" (generated-code fast path,
-# the default), "interpreter" (the reference tree-walker), or "columnar"
-# (numpy struct-of-arrays batch engine; scalar paths fall back to the
-# compiled kernels).  The env var is read only when no constructor
-# argument is given, so tests can pin a mode per-ASIC while operators
-# flip the whole process.
+# the default) or "interpreter" (the reference tree-walker).  The env
+# var is read only when no constructor argument is given, so tests can
+# pin a mode per-ASIC while operators flip the whole process.
 EXECUTION_MODE_ENV = "MANTIS_PIPELINE"
-EXECUTION_MODES = ("compiled", "interpreter", "columnar")
+EXECUTION_MODES = ("compiled", "interpreter")
 
 
 @dataclass
@@ -76,20 +68,12 @@ class BatchStats:
     pass-by-pass loop (recirculation, a scalar table fallback, or the
     reference engine).  ``packets == fused + slow_path`` always holds,
     including on error paths.
-
-    ``columnar`` counts packets that entered the columnar engine's
-    vectorized sweeps; of those, ``columnar_fallback`` needed scalar
-    assistance for at least one table, lane, or recirculation pass
-    (per-reason detail lives in
-    :attr:`ColumnarPipeline.fallback_counts`).
     """
 
     batches: int = 0
     packets: int = 0
     fused: int = 0
     slow_path: int = 0
-    columnar: int = 0
-    columnar_fallback: int = 0
 
 
 # A packet's processing outcome: (egress_port, packet) or None if dropped.
@@ -175,8 +159,6 @@ class SwitchAsic:
         self.interpreter = PipelineExecutor(self, seed=seed, rng=rng)
         if execution_mode == "compiled":
             self.executor = CompiledPipeline(self, rng=rng)
-        elif execution_mode == "columnar":
-            self.executor = ColumnarPipeline(self, rng=rng)
         else:
             self.executor = self.interpreter
         self.packets_processed = 0
@@ -251,17 +233,10 @@ class SwitchAsic:
         and action execution, so it is opt-in.  The engine is rebuilt
         around the *same* RNG object, keeping the packet-visible random
         stream unchanged by profiling."""
-        if self.execution_mode not in ("compiled", "columnar"):
-            raise SwitchError(
-                "hot-loop profiling requires the compiled or columnar engine"
-            )
+        if self.execution_mode != "compiled":
+            raise SwitchError("hot-loop profiling requires the compiled engine")
         profile = PipelineProfile()
-        engine = (
-            ColumnarPipeline
-            if self.execution_mode == "columnar"
-            else CompiledPipeline
-        )
-        self.executor = engine(self, rng=self._rng, profile=profile)
+        self.executor = CompiledPipeline(self, rng=self._rng, profile=profile)
         self.profile = profile
         return profile
 
@@ -355,7 +330,6 @@ class SwitchAsic:
         packets: Sequence[Packet],
         times: Optional[Sequence[float]] = None,
         sink: Optional[Callable[[int, ProcessResult], None]] = None,
-        tm: Optional[object] = None,
     ) -> List[ProcessResult]:
         """Run a burst of packets through the pipeline in one call.
 
@@ -373,35 +347,11 @@ class SwitchAsic:
         ``(index, result)`` immediately after each packet, letting a
         caller interleave per-packet work -- queue accounting must see
         packet ``i`` enqueued before packet ``i + 1`` reads depths.
-
-        ``tm`` is the columnar alternative to ``sink``: a traffic
-        manager with ``admit(lanes, ports, times, sizes)`` (causal
-        batched queue accounting at the TM point) and a per-lane
-        ``sink`` fallback.  Only pass it when the caller has proved
-        statically that no reachable egress action drops and nothing
-        recirculates -- ``admit`` commits enqueues before the egress
-        sweeps run, which is exactly the scalar interleaving only
-        under that guarantee (the vectorized tail enforces it).
         """
         executor = self.executor
         get_plan = getattr(executor, "batch_ops", None)
         if get_plan is None:
-            if tm is not None and sink is None:
-                sink = tm.sink
             return self._batch_reference(packets, times, sink)
-        get_columnar = getattr(executor, "columnar_ops", None)
-        if get_columnar is not None:
-            sweeps = get_columnar("ingress")
-            if sweeps is not None:
-                batch = ColumnarBatch.from_packets(
-                    packets if isinstance(packets, list) else list(packets)
-                )
-                return self._batch_columnar(
-                    batch, times, sink, sweeps, True, tm
-                )
-        if tm is not None and sink is None:
-            # Scalar engines take the traffic manager's per-lane view.
-            sink = tm.sink
         get_major = getattr(executor, "batch_major_ops", None)
         if get_major is not None:
             major_ops = get_major("ingress")
@@ -667,327 +617,6 @@ class SwitchAsic:
             stats.slow_path += slow
         return results
 
-    def process_batch_columnar(
-        self,
-        batch: ColumnarBatch,
-        times: Optional[Sequence[float]] = None,
-    ) -> ColumnarResult:
-        """Native columnar entry: run a (typically pool-backed) batch
-        and return per-lane egress ports without materializing
-        ``Packet`` objects -- the benchmark fast path.  Requires the
-        columnar engine with an op-major-admissible program; use
-        :meth:`process_batch` for the always-available path."""
-        executor = self.executor
-        get_columnar = getattr(executor, "columnar_ops", None)
-        sweeps = get_columnar("ingress") if get_columnar is not None else None
-        if sweeps is None:
-            raise SwitchError(
-                "process_batch_columnar requires execution_mode='columnar' "
-                "with an op-major-admissible program (and profiling off)"
-            )
-        return self._batch_columnar(batch, times, None, sweeps, False)
-
-    def _batch_columnar(
-        self,
-        batch: ColumnarBatch,
-        times: Optional[Sequence[float]],
-        sink: Optional[Callable[[int, ProcessResult], None]],
-        sweeps,
-        collect: bool,
-        tm: Optional[object] = None,
-    ):
-        """Columnar burst execution: vectorized op-major ingress
-        sweeps, then either a vectorized traffic-manager/egress tail
-        (no sink, vectorizable egress, in-range specs, and either no
-        queue model or a caller-provided batched ``tm``) or the
-        scalar per-lane tail with exact :meth:`_batch_major`
-        semantics.  Returns per-packet results (``collect``) or a
-        :class:`ColumnarResult`."""
-        np = columnar_engine.np
-        executor = self.executor
-        n = batch.n
-        ports = self.ports
-        num_ports = self.num_ports
-        queue_model = self.queue_model
-        clock_now = self.clock.now
-        drop_key = "standard_metadata.drop_flag"
-        if times is None:
-            stamps = None
-            shared_ts = int(clock_now)
-            batch.store(
-                "standard_metadata.ingress_global_timestamp", None, shared_ts
-            )
-        else:
-            stamps = np.fromiter((int(t) for t in times), np.int64, count=n)
-            shared_ts = 0
-            batch.store(
-                "standard_metadata.ingress_global_timestamp", None, stamps
-            )
-        state = columnar_engine._SweepState(batch, executor.fallback_counts)
-        results: Optional[List[ProcessResult]] = (
-            [None] * n if collect else None
-        )
-        processed = n
-        passes = n
-        dropped = 0
-        try:
-            try:
-                for sweep in sweeps:
-                    sweep.run(state)
-            except SwitchError:
-                # Every lane was mid-sweep: bucket them all so
-                # packets == fused + slow_path holds in the flush.
-                state.fallback[:] = True
-                raise
-            egress_sweeps = executor.columnar_ops("egress")
-            drop = batch.col(drop_key)
-            live_mask = drop == 0
-            if sink is not None:
-                tail_reason = "tail:sink"
-            elif queue_model is not None and (tm is None or times is None):
-                tail_reason = "tail:queue-model"
-            elif egress_sweeps is None:
-                tail_reason = "tail:egress-plan"
-            else:
-                tail_reason = None
-            live_idx = None
-            live_spec = None
-            if tail_reason is None:
-                if not bool(live_mask.all()):
-                    live_idx = np.nonzero(live_mask)[0]
-                try:
-                    spec = batch.col("standard_metadata.egress_spec")
-                except columnar_engine._Unvectorizable:
-                    tail_reason = "tail:egress-spec"
-                else:
-                    live_spec = spec if live_idx is None else spec[live_idx]
-                    if live_spec.size and bool(
-                        ((live_spec < 0) | (live_spec >= num_ports)).any()
-                    ):
-                        # An out-of-range spec must raise with scalar
-                        # semantics (lane position, partial effects).
-                        tail_reason = "tail:egress-spec"
-            if tail_reason is None:
-                # ---- vectorized traffic manager + egress ----
-                batch.store(
-                    "standard_metadata.egress_port", live_idx, live_spec
-                )
-                if tm is not None:
-                    # Caller-provided traffic manager: causal batched
-                    # queue accounting (enqueues committed now; the
-                    # caller guaranteed egress cannot drop them).
-                    depth_vals = tm.admit(
-                        live_idx, live_spec, times,
-                        batch.sizes if live_idx is None
-                        else batch.sizes[live_idx],
-                    )
-                else:
-                    depths = np.fromiter(
-                        (port.queue_depth for port in ports),
-                        np.int64, count=num_ports,
-                    )
-                    depth_vals = (
-                        depths[live_spec] if live_spec.size else live_spec
-                    )
-                batch.store(
-                    "standard_metadata.enq_qdepth", live_idx, depth_vals
-                )
-                batch.store(
-                    "standard_metadata.deq_qdepth", live_idx, depth_vals
-                )
-                if stamps is None:
-                    egress_ts = shared_ts
-                elif live_idx is None:
-                    egress_ts = stamps
-                else:
-                    egress_ts = stamps[live_idx]
-                batch.store(
-                    "standard_metadata.egress_global_timestamp",
-                    live_idx, egress_ts,
-                )
-                # Delivery uses the TM-time port even if egress
-                # rewrites egress_spec; snapshot before the sweeps.
-                tm_vals = (
-                    live_spec.copy() if live_idx is None else live_spec
-                )
-                for sweep in egress_sweeps:
-                    sweep.run(state)
-                drop = batch.col(drop_key)
-                live2 = drop == 0
-                dropped = n - int(live2.sum())
-                recirc = batch.col("standard_metadata.recirculate_flag")
-                recirc_mask = live2 & (recirc != 0)
-                has_recirc = bool(recirc_mask.any())
-                if tm is not None and (
-                    has_recirc or dropped != n - int(live_mask.sum())
-                ):
-                    # The caller's static no-drop/no-recirc guarantee
-                    # was violated after enqueues were committed.
-                    raise SwitchError(
-                        "burst traffic manager requires egress without "
-                        "drops or recirculation"
-                    )
-                deliver_mask = (
-                    live2 & ~recirc_mask if has_recirc else live2
-                )
-                tm_ports = np.full(n, -1, np.int64)
-                if live_idx is None:
-                    tm_ports[:] = tm_vals
-                else:
-                    tm_ports[live_idx] = tm_vals
-                if bool(deliver_mask.all()):
-                    del_ports = tm_ports
-                    del_sizes = batch.sizes
-                else:
-                    del_idx = np.nonzero(deliver_mask)[0]
-                    del_ports = tm_ports[del_idx]
-                    del_sizes = batch.sizes[del_idx]
-                if del_ports.size:
-                    tx_counts = np.bincount(del_ports, minlength=num_ports)
-                    tx_bytes = np.bincount(
-                        del_ports,
-                        weights=del_sizes.astype(np.float64),
-                        minlength=num_ports,
-                    )
-                    for port_id in np.nonzero(tx_counts)[0].tolist():
-                        port = ports[port_id]
-                        port.tx_packets += int(tx_counts[port_id])
-                        port.tx_bytes += int(tx_bytes[port_id])
-                packets = None
-                if collect or has_recirc:
-                    batch.flush()
-                    packets = batch.packets
-                if has_recirc:
-                    # Columnar recirculation: compact the flagged
-                    # lanes into a sub-batch and re-run the vectorized
-                    # sweeps per pass instead of draining each lane.
-                    lanes = np.nonzero(recirc_mask)[0]
-                    extra, lane_ports = self._recirculate_columnar(
-                        batch, lanes, times, stamps, shared_ts,
-                        clock_now, sweeps, egress_sweeps, state,
-                    )
-                    passes += extra
-                    tm_ports[lanes] = lane_ports
-                    port_vals = lane_ports.tolist()
-                    for pos, lane in enumerate(lanes.tolist()):
-                        port_id = port_vals[pos]
-                        if port_id < 0:
-                            dropped += 1
-                            if collect:
-                                results[lane] = None
-                        elif collect:
-                            results[lane] = (port_id, packets[lane])
-                if collect:
-                    port_list = tm_ports.tolist()
-                    for lane, alive in enumerate(deliver_mask.tolist()):
-                        if alive:
-                            results[lane] = (port_list[lane], packets[lane])
-                    return results
-                return ColumnarResult(tm_ports, n - dropped, dropped)
-            # ---- scalar tail (exact _batch_major semantics) ----
-            if tm is not None and sink is None:
-                sink = tm.sink
-            executor.count_fallback(tail_reason, n)
-            batch.flush()
-            packets = batch.packets
-            egress_ops = executor.batch_ops("egress") or ()
-            lane_ports = None if collect else np.full(n, -1, np.int64)
-            index = -1
-            accounted = True
-            try:
-                for index, packet in enumerate(packets):
-                    accounted = False
-                    fields = packet.fields
-                    if stamps is None:
-                        t_now = clock_now
-                        ts = shared_ts
-                    else:
-                        t_now = times[index]
-                        ts = int(stamps[index])
-                    if fields[drop_key]:
-                        dropped += 1
-                        accounted = True
-                        if sink is not None:
-                            sink(index, None)
-                        continue
-                    port_id = fields["standard_metadata.egress_spec"]
-                    if not 0 <= port_id < num_ports:
-                        raise SwitchError(
-                            f"egress_spec {port_id} out of range"
-                        )
-                    fields["standard_metadata.egress_port"] = port_id
-                    if queue_model is not None:
-                        depth = queue_model(port_id, t_now)
-                    else:
-                        depth = ports[port_id].queue_depth
-                    fields["standard_metadata.enq_qdepth"] = depth
-                    fields["standard_metadata.deq_qdepth"] = depth
-                    fields["standard_metadata.egress_global_timestamp"] = ts
-                    for op in egress_ops:
-                        if fields[drop_key]:
-                            break
-                        op(packet)
-                    if fields[drop_key]:
-                        dropped += 1
-                        accounted = True
-                        if sink is not None:
-                            sink(index, None)
-                        continue
-                    if fields["standard_metadata.recirculate_flag"]:
-                        state.fallback[index] = True
-                        state.reasons["recirc"] = (
-                            state.reasons.get("recirc", 0) + 1
-                        )
-                        accounted = True
-                        extra, result = self._recirculate(packet, t_now, ts)
-                        passes += extra
-                        if result is None:
-                            dropped += 1
-                        if collect:
-                            results[index] = result
-                        elif result is not None:
-                            lane_ports[index] = result[0]
-                        if sink is not None:
-                            sink(index, result)
-                        continue
-                    accounted = True
-                    port = ports[port_id]
-                    port.tx_packets += 1
-                    port.tx_bytes += packet.size_bytes
-                    if collect:
-                        results[index] = (port_id, packet)
-                    else:
-                        lane_ports[index] = port_id
-                    if sink is not None:
-                        sink(index, (port_id, packet))
-            except SwitchError:
-                # Same bucketing as _batch_major: the failing lane
-                # counts slow, unreached lanes count by their
-                # ingress-time drop flag.
-                if not accounted:
-                    state.fallback[index] = True
-                for later_index in range(index + 1, n):
-                    if packets[later_index].fields[drop_key]:
-                        dropped += 1
-                    else:
-                        state.fallback[later_index] = True
-                raise
-            if collect:
-                return results
-            return ColumnarResult(lane_ports, n - dropped, dropped)
-        finally:
-            slow = int(state.fallback.sum())
-            self.packets_processed += processed
-            self.pipeline_passes += passes
-            self.packets_dropped += dropped
-            stats = self.batch_stats
-            stats.batches += 1
-            stats.packets += processed
-            stats.fused += processed - slow
-            stats.slow_path += slow
-            stats.columnar += processed
-            stats.columnar_fallback += slow
-
     def _batch_reference(
         self,
         packets: Sequence[Packet],
@@ -1073,178 +702,6 @@ class SwitchAsic:
         port.tx_packets += 1
         port.tx_bytes += packet.size_bytes
         return extra, (port_id, packet)
-
-    def _recirculate_tail(
-        self, packet: Packet, now: float, ts: int, budget: int
-    ) -> Tuple[int, ProcessResult]:
-        """Finish one recirculation pass from the traffic manager
-        onward (the columnar loop already ran this pass's ingress),
-        then continue for up to ``budget`` further full passes;
-        mirrors :meth:`_recirculate` statement for statement.  Returns
-        ``(extra_full_passes, result)``."""
-        executor = self.executor
-        fields = packet.fields
-        extra = 0
-        while True:
-            self._traffic_manager_at(packet, now, ts)
-            executor.run_control("egress", packet)
-            if (
-                fields["standard_metadata.drop_flag"]
-                or not fields["standard_metadata.recirculate_flag"]
-            ):
-                break
-            fields["standard_metadata.recirculate_flag"] = 0
-            if budget == 0:
-                break
-            budget -= 1
-            extra += 1
-            fields["standard_metadata.ingress_global_timestamp"] = ts
-            executor.run_control("ingress", packet)
-            if fields["standard_metadata.drop_flag"]:
-                break
-        if fields["standard_metadata.drop_flag"]:
-            return extra, None
-        port_id = fields["standard_metadata.egress_port"]
-        port = self.ports[port_id]
-        port.tx_packets += 1
-        port.tx_bytes += packet.size_bytes
-        return extra, (port_id, packet)
-
-    def _recirculate_columnar(
-        self,
-        parent: ColumnarBatch,
-        lanes,
-        times,
-        stamps,
-        shared_ts: int,
-        clock_now: float,
-        sweeps,
-        egress_sweeps,
-        parent_state,
-    ):
-        """Columnar recirculation: compact the recirculate-flagged
-        lanes into a sub-batch (sharing the parent's packet objects)
-        and re-run the vectorized sweeps pass by pass instead of
-        draining each lane through the fused scalar steps.
-
-        Only reachable for programs whose admitted footprint is
-        recirc-alone -- no registers, counters, or RNG anywhere -- so
-        sweeping all still-recirculating lanes together each pass is
-        unobservable.  Lanes that need scalar semantics mid-flight (an
-        out-of-range ``egress_spec`` must raise at its exact lane
-        position with per-lane partial effects) drain in ascending
-        lane order and count as fallbacks; everything else stays
-        vectorized.  Returns ``(extra_passes, lane_ports)`` where
-        ``lane_ports[k] == -1`` marks a dropped lane."""
-        np = columnar_engine.np
-        executor = self.executor
-        ports = self.ports
-        num_ports = self.num_ports
-        packets = parent.packets
-        sub_packets = [packets[int(lane)] for lane in lanes.tolist()]
-        sub = ColumnarBatch.from_packets(sub_packets)
-        m = sub.n
-        state = columnar_engine._SweepState(sub, executor.fallback_counts)
-        active = np.ones(m, bool)
-        lane_ports = np.full(m, -1, np.int64)
-        vec_tx = np.zeros(m, bool)
-        tm_latest = np.full(m, -1, np.int64)
-        extra_passes = 0
-        sub_ts = None if stamps is None else stamps[lanes]
-        drop_key = "standard_metadata.drop_flag"
-        recirc_key = "standard_metadata.recirculate_flag"
-        for pass_no in range(MAX_RECIRCULATIONS):
-            act_idx = np.nonzero(active)[0]
-            if not act_idx.size:
-                break
-            extra_passes += int(act_idx.size)
-            sub.store(recirc_key, act_idx, 0)
-            sub.store(
-                "standard_metadata.ingress_global_timestamp", act_idx,
-                shared_ts if sub_ts is None else sub_ts[act_idx],
-            )
-            for sweep in sweeps:
-                sweep.run(state, active)
-            drop = sub.col(drop_key)
-            alive = active & (drop == 0)
-            active = alive  # ingress-dropped lanes finish as None
-            if not bool(alive.any()):
-                continue
-            alive_idx = np.nonzero(alive)[0]
-            spec = sub.col("standard_metadata.egress_spec")
-            aspec = spec[alive_idx]
-            if bool(((aspec < 0) | (aspec >= num_ports)).any()):
-                # Scalar continuation: the bad lane must raise at its
-                # own position, with earlier lanes fully committed.
-                parent_state.mark_fallback(
-                    lanes[alive_idx], int(alive_idx.size), "recirc"
-                )
-                sub.flush()
-                budget = MAX_RECIRCULATIONS - pass_no - 1
-                for k in alive_idx.tolist():
-                    lane = int(lanes[k])
-                    t_now = clock_now if times is None else times[lane]
-                    ts = shared_ts if sub_ts is None else int(sub_ts[k])
-                    tail_extra, result = self._recirculate_tail(
-                        sub_packets[k], t_now, ts, budget
-                    )
-                    extra_passes += tail_extra
-                    lane_ports[k] = -1 if result is None else result[0]
-                active[:] = False
-                sub.resync()  # the packet dicts are authoritative now
-                break
-            # Vectorized traffic manager: static depth snapshot (the
-            # queue model is statically absent on this tail).
-            sub.store("standard_metadata.egress_port", alive_idx, aspec)
-            depths = np.fromiter(
-                (port.queue_depth for port in ports),
-                np.int64, count=num_ports,
-            )
-            depth_vals = depths[aspec]
-            sub.store("standard_metadata.enq_qdepth", alive_idx, depth_vals)
-            sub.store("standard_metadata.deq_qdepth", alive_idx, depth_vals)
-            sub.store(
-                "standard_metadata.egress_global_timestamp", alive_idx,
-                shared_ts if sub_ts is None else sub_ts[alive_idx],
-            )
-            tm_latest[alive_idx] = aspec
-            for sweep in egress_sweeps:
-                sweep.run(state, alive)
-            drop = sub.col(drop_key)
-            alive = active & (drop == 0)
-            recirc = sub.col(recirc_key)
-            again = alive & (recirc != 0)
-            deliver = alive & ~again
-            if bool(deliver.any()):
-                didx = np.nonzero(deliver)[0]
-                lane_ports[didx] = tm_latest[didx]
-                vec_tx[didx] = True
-            active = again
-        if bool(active.any()):
-            # Budget exhausted with the flag still raised: the scalar
-            # loop clears it on its way out and delivers at the final
-            # pass's traffic-manager port.
-            aidx = np.nonzero(active)[0]
-            sub.store(recirc_key, aidx, 0)
-            lane_ports[aidx] = tm_latest[aidx]
-            vec_tx[aidx] = True
-        sub.flush()
-        if bool(vec_tx.any()):
-            vidx = np.nonzero(vec_tx)[0]
-            vports = lane_ports[vidx]
-            tx_counts = np.bincount(vports, minlength=num_ports)
-            tx_bytes = np.bincount(
-                vports,
-                weights=sub.sizes[vidx].astype(np.float64),
-                minlength=num_ports,
-            )
-            for port_id in np.nonzero(tx_counts)[0].tolist():
-                port = ports[port_id]
-                port.tx_packets += int(tx_counts[port_id])
-                port.tx_bytes += int(tx_bytes[port_id])
-        if bool(state.fallback.any()):
-            parent_state.fallback[lanes[np.nonzero(state.fallback)[0]]] = True
-        return extra_passes, lane_ports
 
     def process_stepped(self, packet: Packet) -> Iterator[Tuple[str, str]]:
         """Stepped variant of :meth:`process`; yields

@@ -37,12 +37,6 @@ remains the reference semantics; :func:`run_differential` replays one
 workload through both engines and asserts identical packet and ASIC
 state, and the tests in ``tests/switch/test_compiled.py`` keep the two
 in lockstep.
-
-:class:`~repro.switch.columnar.ColumnarPipeline` builds on this
-engine: it reuses the op-major admission (:meth:`batch_major_ops`),
-the fused scalar sweeps as its fallback path, and the resolved step
-closures for per-lane drains, replacing only the batch inner loops
-with numpy struct-of-arrays sweeps.
 """
 
 from __future__ import annotations

@@ -693,6 +693,28 @@ class Driver:
         ops = list(ops)
         if not ops:
             return []
+        applies, table_entries, register_writes = self.bulk_applies(ops)
+        device_cost = self.model.bulk_write_cost(table_entries, register_writes)
+        result = self._execute(
+            "bulk_write",
+            f"bulk[{len(ops)}]",
+            device_cost,
+            None,
+            channel,
+            apply=lambda: [fn() for fn in applies],
+            session=session,
+            op_count=len(ops),
+        )
+        self.bulk_txns += 1
+        return result
+
+    def bulk_applies(
+        self, ops: Sequence[Tuple]
+    ) -> Tuple[List[Callable[[], object]], int, int]:
+        """Resolve bulk ops (the :meth:`write_batch` verb table) into
+        apply closures plus the ``(table_entries, register_writes)``
+        counts that price the transaction.  Unknown tables, registers
+        and verbs raise here, before anything is applied."""
         applies: List[Callable[[], object]] = []
         table_entries = 0
         register_writes = 0
@@ -738,19 +760,7 @@ class Driver:
                 register_writes += 1
             else:
                 raise DriverError(f"unknown bulk op verb {verb!r}")
-        device_cost = self.model.bulk_write_cost(table_entries, register_writes)
-        result = self._execute(
-            "bulk_write",
-            f"bulk[{len(ops)}]",
-            device_cost,
-            None,
-            channel,
-            apply=lambda: [fn() for fn in applies],
-            session=session,
-            op_count=len(ops),
-        )
-        self.bulk_txns += 1
-        return result
+        return applies, table_entries, register_writes
 
 
 class _BatchContext:

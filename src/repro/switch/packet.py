@@ -149,22 +149,6 @@ class PacketTemplate:
         self.size_bytes = size_bytes
 
 
-def collect_template_columns(
-    templates: Sequence[PacketTemplate],
-) -> tuple:
-    """Column inventory for a set of templates: the union of field
-    keys and of valid headers.  The columnar pool materializes one
-    array per entry, so absent fields read as 0 and absent headers as
-    invalid -- the same defaults :meth:`Packet.get` and valid-matching
-    use."""
-    keys: Set[str] = set()
-    headers: Set[str] = set()
-    for template in templates:
-        keys.update(template.fields)
-        headers.update(template.valid_headers)
-    return keys, headers
-
-
 class PacketPool:
     """A grow-only pool of reusable packets for batch processing."""
 

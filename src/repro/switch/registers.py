@@ -52,29 +52,6 @@ class RegisterArray:
         self.values[index] = (self.values[index] + delta) & self.mask
         return self.values[index]
 
-    def bulk_write(self, indices: List[int], new_values: List[int]) -> None:
-        """Masked write of many ``(index, value)`` pairs at once.
-
-        The columnar engine commits a whole batch's scatter in one
-        call; indices are pre-validated by the vector range check, so
-        this skips the per-write bounds test."""
-        values = self.values
-        mask = self.mask
-        for index, value in zip(indices, new_values):
-            values[index] = value & mask
-
-    def bulk_add(self, indices: List[int], deltas: List[int]) -> None:
-        """Wrapping add of many ``(index, delta)`` pairs at once.
-
-        Summing per-slot deltas then masking once equals masking after
-        every increment (masks distribute over addition mod 2**width),
-        so batched counter commits stay bit-identical to the scalar
-        engine."""
-        values = self.values
-        mask = self.mask
-        for index, delta in zip(indices, deltas):
-            values[index] = (values[index] + delta) & mask
-
     def read_range(self, lo: int, hi: int) -> List[int]:
         """Read entries ``lo..hi`` inclusive (driver DMA-burst path)."""
         self._check_index(lo)

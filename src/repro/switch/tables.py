@@ -105,9 +105,9 @@ class TableRuntime:
         # hit/miss counters for observability and resource benches
         self.hits = 0
         self.misses = 0
-        # Bumped on every entry/default mutation; the columnar engine
-        # keys its packed lookup index on this to avoid rebuilding per
-        # batch while staying coherent with control-plane writes.
+        # Bumped on every entry/default mutation; the compiled engine's
+        # resolution caches key on this to stay coherent with
+        # control-plane writes without re-resolving per packet.
         self.generation = 0
 
     # ---- entry management (atomic per call) -----------------------------

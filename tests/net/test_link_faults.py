@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro.faults import (
+    EVENT_LOG_LIMIT,
     FaultPlan,
     FaultSpec,
     install_link_fault_plan,
@@ -103,11 +104,10 @@ class TestSeededDeterminism:
         assert len(events) == dropped + corrupted
 
     @pytest.mark.parametrize("burst", [1, 8])
-    def test_compiled_vs_columnar_identical(self, burst):
-        pytest.importorskip("numpy")
+    def test_compiled_vs_interpreter_identical(self, burst):
         seed = BASE_SEED * 1000 + 23
         logs = []
-        for mode in ("compiled", "columnar"):
+        for mode in ("compiled", "interpreter"):
             fault = LinkFaultModel(
                 seed=seed, drop_rate=0.12, corrupt_rate=0.08
             )
@@ -387,6 +387,29 @@ class TestPlanLowering:
         assert first.drop_rate == 0.3
         assert first.window_us == (0.0, 100.0)
         assert first.max_drops == 10
+
+    def test_uncapped_drop_plan_bounds_event_log(self):
+        """An uncapped always-drop spec keeps only the last
+        EVENT_LOG_LIMIT events, while ``dropped`` counts every drop."""
+        plan = FaultPlan(seed=4, specs=[
+            FaultSpec(kind="link_drop", probability=1.0),
+        ])
+        clock = SimClock()
+        fabric = NetworkSim(clock=clock)
+        s0 = fabric.add_switch(_forward_system(clock=clock), "s0")
+        s1 = fabric.add_switch(_forward_system(clock=clock), "s1")
+        fabric.connect(s0, 0, s1, 0)
+        (model,) = install_link_fault_plan(plan, fabric)
+        assert model.max_drops is None
+        total = EVENT_LOG_LIMIT + 500
+        for index in range(total):
+            verdict = model.admit(Packet({"ipv4.dstAddr": DST}),
+                                  float(index), "a2b")
+            assert verdict == "drop"
+        assert model.dropped == total
+        assert len(model.events) == EVENT_LOG_LIMIT
+        assert model.events[0][0] == float(total - EVENT_LOG_LIMIT)
+        assert model.events[-1][0] == float(total - 1)
 
     def test_targets_filter_by_link_name(self):
         plan = FaultPlan(seed=9, specs=[
